@@ -4,8 +4,8 @@ Library layout:
 
 - :mod:`seercal.params`      rating scale, parameter registry, project records
 - :mod:`seercal.table`       the 34x18 value table, validation, file format
-- :mod:`seercal.nfbank`      fuzzy sub-models (memberships, defuzzification)
-- :mod:`seercal.engine`      pure effort-model evaluation
+- :mod:`seercal.nfbank`      fuzzy sub-models: batch bank plus the reference definition
+- :mod:`seercal.engine`      the array effort model and its n = 1 wrappers
 - :mod:`seercal.calibration` loss, analytic gradients, monotone training
 - :mod:`seercal.metrics`     RE / MRE / MMRE / PRED and reports
 - :mod:`seercal.cases`       dataset split protocols and the study runner

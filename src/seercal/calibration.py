@@ -1,11 +1,13 @@
 """Gradient-descent calibration of the value table against project history.
 
-The loss is half the weighted sum of squared relative effort errors.  The
-backward pass chains an analytic effort gradient per quantitative value
-through the membership grade linking each value to its two active table
-entries; the update is plain full-batch descent followed by a positivity
-floor and a least-squares monotone repair (pool-adjacent-violators) of every
-row, so the returned table always satisfies the declared directions.
+The loss is half the weighted sum of squared relative effort errors.  Loss
+and gradient share one forward, :func:`seercal.engine.effort_terms`; the
+backward pass reads its cached intermediates and chains an analytic effort
+gradient per quantitative value through the membership grade linking each
+value to its two active table entries.  The update is plain full-batch
+descent followed by a positivity floor and a least-squares monotone repair
+(pool-adjacent-violators) of every row, so the returned table always
+satisfies the declared directions.
 
 Analytic gradients are validated against central finite differences in the
 test suite; training optionally halves the learning rate whenever a step
@@ -23,13 +25,14 @@ import numpy as np
 from . import engine, params
 from .engine import (
     ADJUSTMENT_SINGLES,
-    BASIC_TECH_SCALE,
+    COMBINED_ARGS,
     CTBX_PIVOT,
     CTBX_SINGLES,
     SIZE_EXPONENT,
     STAFFING_EXPONENT,
     TECH_EXP_COEFF,
     TURN_DAMPING,
+    EffortTerms,
     combined_partials,
 )
 from .errors import (
@@ -38,16 +41,10 @@ from .errors import (
     TableFormatError,
     TrainingDivergedError,
 )
-from .nfbank import membership_weights
+from .nfbank import interpolate, membership_weights
 from .table import DECREASING, INCREASING, ValueTable, validate_table
 
 log = logging.getLogger(__name__)
-
-PROJECT_EACH_EPOCH = "project_each_epoch"
-PROJECT_EACH_STEP = "project_each_step"
-# Full-batch descent performs exactly one update step per epoch, so the two
-# policies coincide here; both are accepted for config compatibility.
-CONSTRAINT_POLICIES = (PROJECT_EACH_EPOCH, PROJECT_EACH_STEP)
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class CalibrationConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 500
     tolerance: float = 1e-6  # stop when relative loss decrease falls below this
-    constraint_policy: str = PROJECT_EACH_EPOCH
     seed: int = 0
     value_floor: float = 1e-6  # positivity floor applied after each update
     backtrack: bool = True     # halve the learning rate on loss increase
@@ -70,11 +66,6 @@ class CalibrationConfig:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs!r}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance!r}")
-        if self.constraint_policy not in CONSTRAINT_POLICIES:
-            raise ValueError(
-                f"constraint_policy must be one of {CONSTRAINT_POLICIES}, "
-                f"got {self.constraint_policy!r}"
-            )
         if not self.value_floor > 0:
             raise ValueError(f"value_floor must be positive, got {self.value_floor!r}")
 
@@ -83,7 +74,6 @@ class CalibrationConfig:
             "learning_rate": self.learning_rate,
             "max_epochs": self.max_epochs,
             "tolerance": self.tolerance,
-            "constraint_policy": self.constraint_policy,
             "seed": self.seed,
             "value_floor": self.value_floor,
             "backtrack": self.backtrack,
@@ -125,36 +115,33 @@ class _Batch:
         self.weights = np.array([p.weight for p in projects])
         if np.any(self.actuals <= 0):
             raise MetricsDomainError("every project needs a positive actual effort")
-        # Lower active level (0-based) and upper-level membership weight.
-        self.level_lo, self.level_frac = membership_weights(self.coords)
-        self.columns = np.broadcast_to(np.arange(params.N_RATED), self.coords.shape)
+        # Flat table index of the lower active level, and upper-level weight.
+        self.entry_lo, self.level_frac = membership_weights(self.coords)
 
     def bank_values(self, values_matrix: np.ndarray) -> np.ndarray:
-        left = values_matrix[self.columns, self.level_lo]
-        right = values_matrix[self.columns, self.level_lo + 1]
-        return left * (1.0 - self.level_frac) + right * self.level_frac
+        return interpolate(values_matrix, self.entry_lo, self.level_frac)
 
 
 def _col(symbol: str) -> int:
     return params.RATED_COLUMN[symbol]
 
 
-def _batch_efforts(batch: _Batch, values_matrix: np.ndarray) -> np.ndarray:
+def _batch_forward(batch: _Batch, values_matrix: np.ndarray) -> EffortTerms:
     v = batch.bank_values(values_matrix)
     columns = {sym: v[:, _col(sym)] for sym in params.RATED_SYMBOLS}
+    columns["SIBR"] = batch.sibrs
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        *_, efforts = engine.effort_terms(
-            batch.sizes, columns["D"], columns, batch.sibrs
-        )
-    return efforts
+        return engine.effort_terms(batch.sizes, columns["D"], columns)
 
 
-def _effort_and_value_gradients(values: np.ndarray, sizes, sibrs):
-    """Efforts plus the analytic effort gradient per quantitative value.
+def _batch_efforts(batch: _Batch, values_matrix: np.ndarray) -> np.ndarray:
+    return _batch_forward(batch, values_matrix).effort
 
-    ``values`` is the (n, 34) bank-output matrix.  Returns (efforts (n,),
-    gradients (n, 34)).  Closed forms per factor family, all sharing the
-    evaluated effort E:
+
+def _value_gradients(terms: EffortTerms) -> np.ndarray:
+    """Analytic effort gradient per quantitative value, as an (n, 34) matrix.
+
+    Closed forms per factor family, all sharing the evaluated effort E:
 
     - plain adjustment factor P:   1.2 * E / P
     - staffing complexity D:       0.4 * E / D
@@ -163,53 +150,27 @@ def _effort_and_value_gradients(values: np.ndarray, sizes, sibrs):
     - combined constituents: the matching family form, chained through the
       combination formula's partial derivative.
     """
-    v = {sym: values[:, _col(sym)] for sym in params.RATED_SYMBOLS}
+    v, efforts, turn = terms.values, terms.effort, terms.values["TURN"]
+    grads = np.empty((len(efforts), params.N_RATED))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        aexpappl, d_aexp, d_appl = combined_partials("AEXPAPPL", v["AEXP"], v["APPL"])
-        langlexp, d_lang, d_lexp = combined_partials("LANGLEXP", v["LANG"], v["LEXP"])
-        tsystexp, d_tsys, d_texp = combined_partials("TSYSTEXP", v["TSYS"], v["TEXP"])
-        dsysdexp, d_dsy, d_dexp = combined_partials("DSYSDEXP", v["DSY"], v["DEXP"])
-        psyspexp, d_psys, d_pexp = combined_partials("PSYSPEXP", v["PSYS"], v["PEXP"])
-        sibrreus, _, d_reus = combined_partials("SIBRREUS", sibrs, v["REUS"])
-
-        ctbx = v["ACAP"] * aexpappl * v["MODP"] * v["PCAP"] * v["TOOL"] * v["TERM"]
-        adjustment = langlexp * tsystexp * dsysdexp * psyspexp * sibrreus
-        for sym in ADJUSTMENT_SINGLES:
-            adjustment = adjustment * v[sym]
-        turn = v["TURN"]
-        c_tb = BASIC_TECH_SCALE * np.exp(
-            -TECH_EXP_COEFF * np.log(ctbx / CTBX_PIVOT) / (TURN_DAMPING * turn)
-        )
-        c_te = c_tb / adjustment
-        efforts = (
-            engine.DEV_FRACTION
-            * v["D"] ** STAFFING_EXPONENT
-            * (sizes / c_te) ** SIZE_EXPONENT
-        )
-
-        grads = np.empty_like(values)
         ctbx_sens = SIZE_EXPONENT * TECH_EXP_COEFF / (TURN_DAMPING * turn)
         for sym in CTBX_SINGLES:
             grads[:, _col(sym)] = efforts * ctbx_sens / v[sym]
-        grads[:, _col("AEXP")] = efforts * ctbx_sens / aexpappl * d_aexp
-        grads[:, _col("APPL")] = efforts * ctbx_sens / aexpappl * d_appl
         grads[:, _col("TURN")] = (
             -efforts * SIZE_EXPONENT * TECH_EXP_COEFF
-            * np.log(ctbx / CTBX_PIVOT) / (TURN_DAMPING * turn**2)
+            * np.log(terms.ctbx / CTBX_PIVOT) / (TURN_DAMPING * turn**2)
         )
-        grads[:, _col("D")] = STAFFING_EXPONENT * efforts / v["D"]
+        grads[:, _col("D")] = STAFFING_EXPONENT * efforts / terms.d
         for sym in ADJUSTMENT_SINGLES:
             grads[:, _col(sym)] = SIZE_EXPONENT * efforts / v[sym]
-        for factor, pairs in (
-            (langlexp, (("LANG", d_lang), ("LEXP", d_lexp))),
-            (tsystexp, (("TSYS", d_tsys), ("TEXP", d_texp))),
-            (dsysdexp, (("DSY", d_dsy), ("DEXP", d_dexp))),
-            (psyspexp, (("PSYS", d_psys), ("PEXP", d_pexp))),
-        ):
-            for sym, part in pairs:
-                grads[:, _col(sym)] = SIZE_EXPONENT * efforts / factor * part
-        grads[:, _col("REUS")] = SIZE_EXPONENT * efforts / sibrreus * d_reus
-    return efforts, grads
+        for kind, names in COMBINED_ARGS.items():
+            factor, *cached = terms.combined[kind]
+            a, b = (v[name] for name in names)
+            sens = efforts * ctbx_sens if kind == "AEXPAPPL" else SIZE_EXPONENT * efforts
+            for name, part in zip(names, combined_partials(kind, a, b, factor, *cached)):
+                if name != "SIBR":
+                    grads[:, _col(name)] = sens / factor * part
+    return grads
 
 
 def loss(projects: Sequence[params.SeerProject], tbl: ValueTable) -> float:
@@ -224,36 +185,28 @@ def _loss_from_efforts(batch: _Batch, efforts: np.ndarray) -> float:
         return float(0.5 * np.sum(batch.weights * rel**2))
 
 
-def effort_gradients(project: params.SeerProject, tbl: ValueTable) -> dict[str, float]:
-    """Analytic d(effort)/d(value) for every rated parameter of one project."""
-    batch = _Batch([project])
-    values = batch.bank_values(tbl.values)
-    _, grads = _effort_and_value_gradients(values, batch.sizes, batch.sibrs)
-    return {sym: float(grads[0, _col(sym)]) for sym in params.RATED_SYMBOLS}
-
-
 def grad_effort_wrt_value(
     project: params.SeerProject, tbl: ValueTable, symbol: str
 ) -> float:
     """Analytic sensitivity of one project's effort to one quantitative value."""
-    return effort_gradients(project, tbl)[symbol]
+    grads = _value_gradients(_batch_forward(_Batch([project]), tbl.values))
+    return float(grads[0, _col(symbol)])
 
 
 def loss_gradient(projects: Sequence[params.SeerProject], tbl: ValueTable) -> np.ndarray:
     """Full (34, 18) gradient of the loss w.r.t. every table entry."""
     batch = _Batch(projects)
-    return _loss_gradient(batch, tbl.values)
+    return _loss_gradient(batch, _batch_forward(batch, tbl.values))
 
 
-def _loss_gradient(batch: _Batch, values_matrix: np.ndarray) -> np.ndarray:
-    bank_values = batch.bank_values(values_matrix)
-    efforts, grads = _effort_and_value_gradients(bank_values, batch.sizes, batch.sibrs)
-    coef = batch.weights * (efforts - batch.actuals) / batch.actuals**2
-    contrib = coef[:, None] * grads
-    out = np.zeros((params.N_RATED, params.N_LEVELS))
-    np.add.at(out, (batch.columns, batch.level_lo), contrib * (1.0 - batch.level_frac))
-    np.add.at(out, (batch.columns, batch.level_lo + 1), contrib * batch.level_frac)
-    return out
+def _loss_gradient(batch: _Batch, terms: EffortTerms) -> np.ndarray:
+    """Backward pass of the loss on a cached forward of ``batch``."""
+    coef = batch.weights * (terms.effort - batch.actuals) / batch.actuals**2
+    contrib = coef[:, None] * _value_gradients(terms)
+    out = np.zeros(params.N_RATED * params.N_LEVELS)
+    np.add.at(out, batch.entry_lo, contrib * (1.0 - batch.level_frac))
+    np.add.at(out, batch.entry_lo + 1, contrib * batch.level_frac)
+    return out.reshape(params.N_RATED, params.N_LEVELS)
 
 
 def grad_loss_wrt_consequent(
@@ -325,9 +278,10 @@ def train(
 
     Each epoch evaluates all gradients against the epoch-start table, updates
     every entry, floors values at ``config.value_floor``, and repairs every
-    row to its declared direction.  Stops at ``max_epochs``, when the relative
-    loss decrease falls below ``tolerance``, or when backtracking runs out of
-    halvings.  Raises :class:`TrainingDivergedError` (carrying the trace so
+    row to its declared direction.  Each candidate table costs one forward;
+    the next epoch's gradient reuses the accepted candidate's.  Stops at
+    ``max_epochs``, when the relative loss decrease falls below
+    ``tolerance``, or when backtracking runs out of halvings.  Raises :class:`TrainingDivergedError` (carrying the trace so
     far) if the loss turns non-finite and cannot be rescued by backtracking.
     """
     config = config or CalibrationConfig()
@@ -336,7 +290,8 @@ def train(
         raise TableFormatError(f"refusing to train on an invalid table: {violations[0]}")
     batch = _Batch(projects)
     current = tbl.values.copy()
-    current_loss = _loss_from_efforts(batch, _batch_efforts(batch, current))
+    terms = _batch_forward(batch, current)
+    current_loss = _loss_from_efforts(batch, terms.effort)
     trace = TrainingTrace(initial_loss=current_loss)
     if not np.isfinite(current_loss):
         trace.table = tbl
@@ -348,21 +303,16 @@ def train(
     floor_warned = False
     stop_reason = "max_epochs"
     for _epoch in range(config.max_epochs):
-        grad = _loss_gradient(batch, current)
+        grad = _loss_gradient(batch, terms)
         stalled = False
         while True:
             candidate = current - alpha * grad
             floor_count = int(np.count_nonzero(candidate < config.value_floor))
             if floor_count:
                 candidate = np.maximum(candidate, config.value_floor)
-                if not floor_warned:
-                    log.warning(
-                        "positivity floor %g activated on %d table entries",
-                        config.value_floor, floor_count,
-                    )
-                    floor_warned = True
             candidate, projection_count = _project_rows(candidate, tbl.directions)
-            candidate_loss = _loss_from_efforts(batch, _batch_efforts(batch, candidate))
+            candidate_terms = _batch_forward(batch, candidate)
+            candidate_loss = _loss_from_efforts(batch, candidate_terms.effort)
             can_halve = config.backtrack and halvings_left > 0 and alpha > 0.0
             if not np.isfinite(candidate_loss):
                 if can_halve:
@@ -382,9 +332,14 @@ def train(
         if stalled:
             stop_reason = "stalled"
             break
+        if floor_count and not floor_warned:
+            log.warning(
+                "positivity floor %g activated on %d table entries",
+                config.value_floor, floor_count,
+            )
+            floor_warned = True
         previous_loss = current_loss
-        current = candidate
-        current_loss = candidate_loss
+        current, terms, current_loss = candidate, candidate_terms, candidate_loss
         trace.losses.append(current_loss)
         trace.projection_counts.append(projection_count)
         trace.floor_counts.append(floor_count)

@@ -24,8 +24,6 @@ import yaml
 
 from . import __version__, params
 from .calibration import (
-    CONSTRAINT_POLICIES,
-    PROJECT_EACH_EPOCH,
     CalibrationConfig,
     TrainingTrace,
     train,
@@ -158,7 +156,6 @@ def _calibration_config(args, file_config: dict) -> CalibrationConfig:
         learning_rate=float(pick(args.alpha, "alpha", 1e-3)),
         max_epochs=int(pick(args.epochs, "epochs", 500)),
         tolerance=float(pick(args.tolerance, "tolerance", 1e-6)),
-        constraint_policy=str(pick(args.policy, "policy", PROJECT_EACH_EPOCH)),
         seed=int(pick(args.seed, "seed", 0)),
         value_floor=float(pick(args.floor, "floor", 1e-6)),
         backtrack=not args.no_backtrack if args.no_backtrack is not None
@@ -497,7 +494,6 @@ def _add_calibration_args(p):
     p.add_argument("--epochs", type=int, default=None, help="maximum training epochs")
     p.add_argument("--tolerance", type=float, default=None,
                    help="stop when relative loss decrease falls below this")
-    p.add_argument("--policy", choices=CONSTRAINT_POLICIES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--floor", type=float, default=None, help="positivity floor")
     p.add_argument("--no-backtrack", action="store_true", default=None,

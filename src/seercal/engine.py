@@ -7,13 +7,15 @@ product of the personnel/tooling factors (ctbx) through an exponential whose
 sensitivity is damped by the turnaround parameter.  Six factor pairs enter
 through published combination formulas rather than directly.
 
-All functions work elementwise on scalars or numpy arrays; the public
-entry points validate scalar inputs and raise domain errors by name.
+The model is written once, as the array forward :func:`effort_terms`, which
+also returns the intermediates the calibration backward pass and
+:func:`combined_partials` reuse.  The scalar ``compute_*`` functions are
+n = 1 wrappers around it and alone run the (vectorized) domain checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -32,11 +34,8 @@ TURN_DAMPING = 5.0             # turnaround damping of that response
 SIZE_EXPONENT = 1.2
 STAFFING_EXPONENT = 0.4
 
-COMBINED_KINDS = (
-    "AEXPAPPL", "LANGLEXP", "TSYSTEXP", "DSYSDEXP", "PSYSPEXP", "SIBRREUS",
-)
-
-# (a, b) argument convention per kind.
+# (a, b) argument convention per kind; the first feeds ctbx, the rest the
+# adjustment product, in this order.
 COMBINED_ARGS = {
     "AEXPAPPL": ("AEXP", "APPL"),
     "LANGLEXP": ("LANG", "LEXP"),
@@ -45,6 +44,7 @@ COMBINED_ARGS = {
     "PSYSPEXP": ("PSYS", "PEXP"),
     "SIBRREUS": ("SIBR", "REUS"),
 }
+ADJUSTMENT_COMBINED = tuple(COMBINED_ARGS)[1:]
 
 # Plain (non-combined) members of the ctbx product.
 CTBX_SINGLES = ("ACAP", "MODP", "PCAP", "TOOL", "TERM")
@@ -54,6 +54,22 @@ ADJUSTMENT_SINGLES = (
     "MULT", "RDED", "RLOC", "DSVL", "PSVL", "RVOL", "SPEC", "TEST",
     "QUAL", "RHST", "DISP", "MEMC", "TIMC", "RTIM", "SECR", "TSVL",
 )
+
+_CTBX_INPUTS = COMBINED_ARGS["AEXPAPPL"] + CTBX_SINGLES
+_ADJUSTMENT_INPUTS = (
+    sum((COMBINED_ARGS[k] for k in ADJUSTMENT_COMBINED), ()) + ADJUSTMENT_SINGLES
+)
+
+_POSITIVE = ("be positive", lambda x: x > 0)
+# The constrained argument of each combined formula and its domain.
+_COMBINED_DOMAIN = {
+    "AEXPAPPL": ("APPL", *_POSITIVE),
+    "LANGLEXP": ("LANG", *_POSITIVE),
+    "TSYSTEXP": ("TSYS", *_POSITIVE),
+    "DSYSDEXP": ("DSY", *_POSITIVE),
+    "PSYSPEXP": ("PSYS", "be non-negative", lambda x: x >= 0),
+    "SIBRREUS": ("SIBR", "lie in [0, 1]", lambda x: (x >= 0.0) & (x <= 1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -68,133 +84,101 @@ class EffortBreakdown:
     effort: float                # development effort, person-years
 
 
-def _aexpappl(aexp, appl):
-    return 0.82 + 0.47 * np.exp(-0.95977 * (aexp / appl))
+@dataclass(frozen=True)
+class EffortTerms(EffortBreakdown):
+    """One array forward evaluation, with what the backward pass reuses.
 
-
-def _langlexp(lang, lexp):
-    return 1.0 + ((1.11 + 0.085 * lang) - 1.0) * np.exp(-lexp / (lang / 3.0))
-
-
-def _tsystexp(tsy, texp):
-    return 1.0 + (0.035 + 0.025 * tsy) * np.exp(-3.0 * texp / tsy)
-
-
-def _dsysdexp(dsy, dexp):
-    return 1.0 + (0.06 + 0.05 * dsy) * np.exp(-3.0 * dexp / dsy)
-
-
-def _psyspexp(psys, pexp):
-    psys = np.asarray(psys, dtype=float)
-    safe = np.where(psys == 0.0, 1.0, psys)
-    base = 0.91**safe + 0.23 * safe * np.exp(-3.0 * np.asarray(pexp, float) / safe)
-    return np.where(psys == 0.0, 1.0, base**0.833)
-
-
-def _sibrreus(sibr, reus):
-    return np.asarray(sibr, float) * np.asarray(reus, float) + 1.0
-
-
-_COMBINED_FN = {
-    "AEXPAPPL": _aexpappl,
-    "LANGLEXP": _langlexp,
-    "TSYSTEXP": _tsystexp,
-    "DSYSDEXP": _dsysdexp,
-    "PSYSPEXP": _psyspexp,
-    "SIBRREUS": _sibrreus,
-}
-
-
-def _validate_combined_args(kind: str, a: float, b: float) -> None:
-    a_name, b_name = COMBINED_ARGS[kind]
-    if kind == "AEXPAPPL" and not b > 0:
-        raise EngineDomainError(f"{kind}: {b_name} must be positive, got {b!r}")
-    if kind in ("LANGLEXP", "TSYSTEXP", "DSYSDEXP") and not a > 0:
-        raise EngineDomainError(f"{kind}: {a_name} must be positive, got {a!r}")
-    if kind == "PSYSPEXP" and not a >= 0:
-        raise EngineDomainError(f"{kind}: {a_name} must be non-negative, got {a!r}")
-    if kind == "SIBRREUS" and not 0.0 <= a <= 1.0:
-        raise EngineDomainError(f"{kind}: {a_name} must lie in [0, 1], got {a!r}")
-
-
-def compute_combined(kind: str, a: float, b: float) -> float:
-    """Evaluate one combined-parameter formula with its (a, b) convention."""
-    if kind not in _COMBINED_FN:
-        raise EngineDomainError(f"unknown combined-parameter kind {kind!r}")
-    _validate_combined_args(kind, float(a), float(b))
-    return float(_COMBINED_FN[kind](float(a), float(b)))
-
-
-def combined_partials(kind: str, a, b):
-    """Value and partial derivatives (d/da, d/db) of a combined formula.
-
-    Array-capable; used by the calibration backward pass.  At the PSYS == 0
-    special point the formula is the constant 1, so both partials are zero.
+    Every quantity is an array with one entry per project.  ``combined``
+    maps each kind to its factor followed by the terms
+    :func:`combined_partials` reads.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+
+    values: Mapping[str, np.ndarray]  # quantitative values by symbol, SIBR included
+    d: np.ndarray
+    combined: Mapping[str, tuple]
+
+    def first(self) -> EffortBreakdown:
+        """The first project's quantities as plain floats."""
+        return EffortBreakdown(
+            *(float(getattr(self, f.name)[0]) for f in fields(EffortBreakdown))
+        )
+
+
+def _combined(kind: str, a: np.ndarray, b: np.ndarray) -> tuple:
+    """One combined formula: (factor, *terms its partial derivatives reuse)."""
     if kind == "AEXPAPPL":
-        e = np.exp(-0.95977 * (a / b))
-        val = 0.82 + 0.47 * e
-        da = 0.47 * e * (-0.95977 / b)
-        db = 0.47 * e * (0.95977 * a / b**2)
-        return val, da, db
-    if kind in ("LANGLEXP", "TSYSTEXP", "DSYSDEXP"):
-        c0, c1 = {
-            "LANGLEXP": (0.11, 0.085),
-            "TSYSTEXP": (0.035, 0.025),
-            "DSYSDEXP": (0.06, 0.05),
-        }[kind]
+        scaled = 0.47 * np.exp(-0.95977 * (a / b))
+        return 0.82 + scaled, scaled
+    if kind == "LANGLEXP":
+        e = np.exp(-b / (a / 3.0))
+        scaled = ((1.11 + 0.085 * a) - 1.0) * e
+        return 1.0 + scaled, e, scaled
+    if kind == "TSYSTEXP":
         e = np.exp(-3.0 * b / a)
-        coeff = c0 + c1 * a
-        val = 1.0 + coeff * e
-        da = c1 * e + coeff * e * (3.0 * b / a**2)
-        db = coeff * e * (-3.0 / a)
-        return val, da, db
+        scaled = (0.035 + 0.025 * a) * e
+        return 1.0 + scaled, e, scaled
+    if kind == "DSYSDEXP":
+        e = np.exp(-3.0 * b / a)
+        scaled = (0.06 + 0.05 * a) * e
+        return 1.0 + scaled, e, scaled
     if kind == "PSYSPEXP":
         safe = np.where(a == 0.0, 1.0, a)
         e = np.exp(-3.0 * b / safe)
         base = 0.91**safe + 0.23 * safe * e
-        val = np.where(a == 0.0, 1.0, base**0.833)
-        outer = 0.833 * base ** (0.833 - 1.0)
-        dbase_da = 0.91**safe * np.log(0.91) + 0.23 * e + 0.23 * safe * e * (3.0 * b / safe**2)
-        dbase_db = -0.69 * e
-        da = np.where(a == 0.0, 0.0, outer * dbase_da)
-        db = np.where(a == 0.0, 0.0, outer * dbase_db)
-        return val, da, db
+        return np.where(a == 0.0, 1.0, base**0.833), e, base
     if kind == "SIBRREUS":
-        return a * b + 1.0, b, a
+        return (a * b + 1.0,)
     raise EngineDomainError(f"unknown combined-parameter kind {kind!r}")
 
 
-def _get(values: Mapping[str, float], symbol: str):
-    try:
-        return values[symbol]
-    except KeyError:
-        raise MissingParameterError(
-            f"missing quantitative value for {symbol}"
-        ) from None
+# d(coefficient)/da of the three "1 + (c0 + c1 * a) * exp(-3b/a)" formulas.
+_COEFF_SLOPE = {"LANGLEXP": 0.085, "TSYSTEXP": 0.025, "DSYSDEXP": 0.05}
 
 
-def compute_ctbx(values: Mapping[str, float]) -> float:
-    """Personnel/tooling product feeding basic technology."""
-    aexpappl = compute_combined("AEXPAPPL", _get(values, "AEXP"), _get(values, "APPL"))
-    out = _get(values, "ACAP") * aexpappl
-    for sym in ("MODP", "PCAP", "TOOL", "TERM"):
-        out = out * _get(values, sym)
-    return float(out)
+def combined_partials(kind: str, a, b, factor, *terms):
+    """Partial derivatives (d/da, d/db) of a combined formula.
+
+    Reads the factor and terms that :func:`effort_terms` cached for ``kind``.
+    At the PSYS == 0 special point the formula is the constant 1, so both
+    partials are zero.
+    """
+    if kind == "AEXPAPPL":
+        (scaled,) = terms
+        return scaled * (-0.95977 / b), scaled * (0.95977 * a / b**2)
+    if kind in _COEFF_SLOPE:
+        e, scaled = terms
+        return _COEFF_SLOPE[kind] * e + scaled * (3.0 * b / a**2), scaled * (-3.0 / a)
+    if kind == "PSYSPEXP":
+        e, base = terms
+        safe = np.where(a == 0.0, 1.0, a)
+        outer = 0.833 * base ** (0.833 - 1.0)
+        dbase_da = 0.91**safe * np.log(0.91) + 0.23 * e + 0.23 * safe * e * (3.0 * b / safe**2)
+        dbase_db = -0.69 * e
+        return (np.where(a == 0.0, 0.0, outer * dbase_da),
+                np.where(a == 0.0, 0.0, outer * dbase_db))
+    if kind == "SIBRREUS":
+        return b, a
+    raise EngineDomainError(f"unknown combined-parameter kind {kind!r}")
 
 
-def compute_parm_adjustment(values: Mapping[str, float], sibr: float) -> float:
-    """21-factor adjustment product: 5 combined factors then 16 singles."""
-    out = 1.0
-    for kind in ("LANGLEXP", "TSYSTEXP", "DSYSDEXP", "PSYSPEXP", "SIBRREUS"):
-        a_name, b_name = COMBINED_ARGS[kind]
-        a = sibr if a_name == "SIBR" else _get(values, a_name)
-        out = out * compute_combined(kind, a, _get(values, b_name))
+def _combined_all(values: Mapping[str, np.ndarray], kinds) -> dict[str, tuple]:
+    return {kind: _combined(kind, *(values[n] for n in COMBINED_ARGS[kind])) for kind in kinds}
+
+
+def _ctbx(values: Mapping[str, np.ndarray], combined: Mapping[str, tuple]) -> np.ndarray:
+    out = values["ACAP"] * combined["AEXPAPPL"][0]
+    for sym in CTBX_SINGLES[1:]:
+        out = out * values[sym]
+    return out
+
+
+def _parm_adjustment(values: Mapping[str, np.ndarray], combined: Mapping[str, tuple]):
+    out = combined[ADJUSTMENT_COMBINED[0]][0]
+    for kind in ADJUSTMENT_COMBINED[1:]:
+        out = out * combined[kind][0]
     for sym in ADJUSTMENT_SINGLES:
-        out = out * _get(values, sym)
-    return float(out)
+        out = out * values[sym]
+    return out
 
 
 def basic_technology(ctbx, turn):
@@ -204,29 +188,76 @@ def basic_technology(ctbx, turn):
     )
 
 
-def effort_terms(size, d, values: Mapping[str, object], sibr):
-    """Array-capable core evaluation, no validation.
+def effort_terms(size, d, values: Mapping[str, np.ndarray]) -> EffortTerms:
+    """The array forward model, no validation.
 
-    Returns (ctbx, c_tb, parm_adjustment, c_te, k, effort); every argument
-    and every map entry may be a scalar or a broadcastable array.
+    ``values`` maps TURN, SIBR and every symbol of the ctbx and adjustment
+    products to an array with one entry per project; ``size`` and ``d`` are
+    arrays of the same length.
     """
-    aexpappl = _aexpappl(_get(values, "AEXP"), _get(values, "APPL"))
-    ctbx = _get(values, "ACAP") * aexpappl
-    for sym in ("MODP", "PCAP", "TOOL", "TERM"):
-        ctbx = ctbx * _get(values, sym)
-    c_tb = basic_technology(ctbx, _get(values, "TURN"))
-    adjustment = (
-        _langlexp(_get(values, "LANG"), _get(values, "LEXP"))
-        * _tsystexp(_get(values, "TSYS"), _get(values, "TEXP"))
-        * _dsysdexp(_get(values, "DSY"), _get(values, "DEXP"))
-        * _psyspexp(_get(values, "PSYS"), _get(values, "PEXP"))
-        * _sibrreus(sibr, _get(values, "REUS"))
-    )
-    for sym in ADJUSTMENT_SINGLES:
-        adjustment = adjustment * _get(values, sym)
+    combined = _combined_all(values, COMBINED_ARGS)
+    ctbx = _ctbx(values, combined)
+    c_tb = basic_technology(ctbx, values["TURN"])
+    adjustment = _parm_adjustment(values, combined)
     c_te = c_tb / adjustment
-    k = np.asarray(d, float) ** STAFFING_EXPONENT * (size / c_te) ** SIZE_EXPONENT
-    return ctbx, c_tb, adjustment, c_te, k, DEV_FRACTION * k
+    k = d**STAFFING_EXPONENT * (size / c_te) ** SIZE_EXPONENT
+    return EffortTerms(
+        ctbx=ctbx, parm_adjustment=adjustment, basic_technology=c_tb,
+        effective_technology=c_te, lifecycle_effort=k, effort=DEV_FRACTION * k,
+        values=values, d=d, combined=combined,
+    )
+
+
+def _columns(values: Mapping[str, float], symbols) -> dict[str, np.ndarray]:
+    """One-entry arrays of the named quantitative values."""
+    try:
+        column = np.array([values[symbol] for symbol in symbols], dtype=float)
+    except KeyError as exc:
+        raise MissingParameterError(f"missing quantitative value for {exc.args[0]}") from None
+    return dict(zip(symbols, column[:, None]))
+
+
+def _check_domain(values: Mapping[str, np.ndarray], kinds, positive=()) -> None:
+    """Vectorized domain checks; raise :class:`EngineDomainError` on the first failure.
+
+    ``kinds`` names combined formulas whose constrained argument is read from
+    ``values``; ``positive`` holds (label, array) pairs that must be positive.
+    """
+    checks = [(label, x, *_POSITIVE) for label, x in positive]
+    for kind in kinds:
+        name, requirement, ok = _COMBINED_DOMAIN[kind]
+        checks.append((f"{kind}: {name}", values[name], requirement, ok))
+    for label, x, requirement, ok in checks:
+        good = ok(x)
+        if not good.all():
+            raise EngineDomainError(f"{label} must {requirement}, got {float(x[~good][0])!r}")
+
+
+def compute_combined(kind: str, a: float, b: float) -> float:
+    """Evaluate one combined-parameter formula with its (a, b) convention."""
+    if kind not in COMBINED_ARGS:
+        raise EngineDomainError(f"unknown combined-parameter kind {kind!r}")
+    values = dict(zip(COMBINED_ARGS[kind], np.array([[a], [b]], dtype=float)))
+    _check_domain(values, (kind,))
+    with np.errstate(all="ignore"):
+        return float(_combined_all(values, (kind,))[kind][0][0])
+
+
+def compute_ctbx(values: Mapping[str, float]) -> float:
+    """Personnel/tooling product feeding basic technology."""
+    columns = _columns(values, _CTBX_INPUTS)
+    _check_domain(columns, ("AEXPAPPL",))
+    with np.errstate(all="ignore"):
+        return float(_ctbx(columns, _combined_all(columns, ("AEXPAPPL",)))[0])
+
+
+def compute_parm_adjustment(values: Mapping[str, float], sibr: float) -> float:
+    """21-factor adjustment product: 5 combined factors then 16 singles."""
+    columns = _columns({**values, "SIBR": sibr}, _ADJUSTMENT_INPUTS)
+    _check_domain(columns, ADJUSTMENT_COMBINED)
+    with np.errstate(all="ignore"):
+        combined = _combined_all(columns, ADJUSTMENT_COMBINED)
+        return float(_parm_adjustment(columns, combined)[0])
 
 
 def compute_effort(
@@ -238,23 +269,17 @@ def compute_effort(
     ``values`` the quantitative parameter values (bank outputs), ``sibr`` the
     reuse fraction.  Efforts are person-years.
     """
-    if not size > 0:
-        raise EngineDomainError(f"size must be positive, got {size!r}")
-    if not d > 0:
-        raise EngineDomainError(f"staffing complexity must be positive, got {d!r}")
-    turn = _get(values, "TURN")
-    if not turn > 0:
-        raise EngineDomainError(f"TURN must be positive, got {turn!r}")
-    ctbx = compute_ctbx(values)
-    if not ctbx > 0:
-        raise EngineDomainError(f"ctbx must be positive, got {ctbx!r}")
-    c_tb = float(basic_technology(ctbx, turn))
-    parm_adjustment = compute_parm_adjustment(values, sibr)
-    c_te = c_tb / parm_adjustment
-    k = d**STAFFING_EXPONENT * (size / c_te) ** SIZE_EXPONENT
-    effort = DEV_FRACTION * k
-    breakdown = EffortBreakdown(ctbx, parm_adjustment, c_tb, c_te, k, effort)
-    if not np.isfinite(effort):
+    columns = _columns({**values, "SIBR": sibr}, ("TURN",) + _CTBX_INPUTS + _ADJUSTMENT_INPUTS)
+    size_, d_ = np.array([size], dtype=float), np.array([d], dtype=float)
+    _check_domain(
+        columns, COMBINED_ARGS,
+        (("size", size_), ("staffing complexity", d_), ("TURN", columns["TURN"])),
+    )
+    with np.errstate(all="ignore"):
+        terms = effort_terms(size_, d_, columns)
+    _check_domain(columns, (), (("ctbx", terms.ctbx),))
+    breakdown = terms.first()
+    if not np.isfinite(breakdown.effort):
         raise EngineDomainError(f"effort is non-finite for the given inputs: {breakdown}")
     return breakdown
 

@@ -8,6 +8,12 @@ and the defuzzified output reduces to piecewise-linear interpolation of the
 row -- which is the property the calibration relies on.
 
 Membership functions are fixed; only the consequents (table values) train.
+
+Every caller evaluates the bank on an (n, 34) coordinate matrix:
+:func:`membership_weights` finds each active level and weight once and
+:func:`interpolate` gathers from the table.  :func:`membership`,
+:func:`firing_strengths`, :func:`normalize` and :func:`nf_output` are the
+literal Takagi-Sugeno definition the tests compare that path against.
 """
 
 from __future__ import annotations
@@ -77,16 +83,17 @@ def bank_translate(project: params.SeerProject, tbl: ValueTable) -> dict[str, fl
 
     SIBR is not rated and passes through unchanged.
     """
-    out = {sym: nf_output(project.ratings[sym], tbl.row(sym)) for sym in params.RATED_SYMBOLS}
+    row = translate_matrix(np.array([project.coordinates()]), tbl)[0]
+    out = dict(zip(params.RATED_SYMBOLS, row.tolist()))
     out["SIBR"] = project.sibr
     return out
 
 
 def translate_matrix(coords: np.ndarray, tbl: ValueTable) -> np.ndarray:
-    """Vectorized bank translation for an (n_projects, 34) coordinate matrix.
+    """Bank translation for an (n_projects, 34) coordinate matrix.
 
-    Equals applying :func:`nf_output` entrywise (asserted in tests); exists
-    because training evaluates the bank many thousands of times.
+    Equals applying :func:`nf_output` entrywise, up to rounding (asserted in
+    tests).
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != params.N_RATED:
@@ -95,21 +102,21 @@ def translate_matrix(coords: np.ndarray, tbl: ValueTable) -> np.ndarray:
         )
     if coords.size and (coords.min() < 1.0 or coords.max() > 18.0):
         raise CoordinateRangeError("rating coordinates outside [1, 18]")
-    lo = np.clip(np.floor(coords).astype(int), 1, params.N_LEVELS - 1)
-    frac = coords - lo
-    cols = np.broadcast_to(np.arange(params.N_RATED), coords.shape)
-    left = tbl.values[cols, lo - 1]
-    right = tbl.values[cols, lo]
-    return left * (1.0 - frac) + right * frac
+    return interpolate(tbl.values, *membership_weights(coords))
 
 
 def membership_weights(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry lower grid index (0-based) and upper-level weight.
+    """Per-entry flat table index of the lower active level, and upper-level weight.
 
-    The membership grade of coordinate x is (1 - frac) at level lo and frac
-    at level lo + 1; every other level is zero.
+    The membership grade of coordinate x in column j is (1 - frac) at level
+    lo and frac at level lo + 1; every other level is zero.  The index is
+    j * 18 + lo - 1, a position in the row-major (34, 18) table.
     """
     coords = np.asarray(coords, dtype=float)
     lo = np.clip(np.floor(coords).astype(int), 1, params.N_LEVELS - 1)
-    frac = coords - lo
-    return lo - 1, frac
+    return np.arange(params.N_RATED) * params.N_LEVELS + lo - 1, coords - lo
+
+
+def interpolate(values: np.ndarray, entry: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Bank outputs of a (34, 18) table at the active entries of :func:`membership_weights`."""
+    return np.take(values, entry) * (1.0 - frac) + np.take(values, entry + 1) * frac

@@ -1,9 +1,12 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seercal import params
+from seercal import calibration, params
 from seercal.calibration import (
     CalibrationConfig,
     enforce_monotone,
@@ -363,7 +366,52 @@ def test_config_validation():
         CalibrationConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         CalibrationConfig(max_epochs=-1)
-    with pytest.raises(ValueError):
-        CalibrationConfig(constraint_policy="sometimes")
-    # both published policies are accepted
-    CalibrationConfig(constraint_policy="project_each_step")
+
+
+def floor_case():
+    """Training whose first candidate hits the positivity floor and is then
+    rejected by backtracking; no accepted step floors anything."""
+    projects = synthesize_projects(synthetic_table(), 30, seed=4, effort_noise=0.3)
+    start = perturb_table(synthetic_table(), 0.2, seed=5)
+    return projects, start
+
+
+def test_floor_warning_ignores_rejected_candidates(caplog):
+    projects, start = floor_case()
+    config = CalibrationConfig(learning_rate=1.0, max_epochs=20, tolerance=0)
+    with caplog.at_level(logging.WARNING, logger="seercal.calibration"):
+        trace = train(projects, start, config)
+    assert sum(trace.floor_counts) == 0
+    assert not [r for r in caplog.records if "positivity floor" in r.getMessage()]
+
+
+def test_floor_warning_reports_accepted_step(caplog):
+    projects, start = floor_case()
+    config = CalibrationConfig(learning_rate=1.0, max_epochs=1, tolerance=0, backtrack=False)
+    with caplog.at_level(logging.WARNING, logger="seercal.calibration"):
+        trace = train(projects, start, config)
+    assert trace.floor_counts[0] > 0
+    messages = [r.getMessage() for r in caplog.records]
+    expected = f"positivity floor 1e-06 activated on {trace.floor_counts[0]} table entries"
+    assert messages.count(expected) == 1
+    assert len([m for m in messages if "positivity floor" in m]) == 1
+
+
+def test_training_runs_one_forward_per_candidate(monkeypatch):
+    # Every forward starts with a bank evaluation of the candidate table, so
+    # counting those counts forwards, including any the gradient would add.
+    projects, start = floor_case()
+    calls = []
+    bank_values = calibration._Batch.bank_values
+
+    def counting(self, values_matrix):
+        calls.append(1)
+        return bank_values(self, values_matrix)
+
+    monkeypatch.setattr(calibration._Batch, "bank_values", counting)
+    config = CalibrationConfig(learning_rate=1.0, max_epochs=20, tolerance=0)
+    trace = train(projects, start, config)
+    assert trace.stop_reason == "max_epochs"
+    rejected = math.log2(config.learning_rate / trace.alphas[-1])
+    assert rejected > 0
+    assert len(calls) == 1 + trace.epochs_run + rejected

@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compensated_values, engine_values
+from seercal import params
+from seercal.calibration import _Batch, _batch_efforts
 from seercal.engine import (
     ADJUSTMENT_SINGLES,
     compute_combined,
     compute_ctbx,
     compute_effort,
     compute_parm_adjustment,
+    effort_for_project,
 )
 from seercal.errors import EngineDomainError, MissingParameterError
+from seercal.nfbank import bank_translate, translate_matrix
+from seercal.synth import perturb_table
+from seercal.table import synthetic_table
 
 
 def reference_effort(size, d, sibr, v):
@@ -285,3 +291,40 @@ def test_effort_domain_errors(kwargs):
         v["TURN"] = kwargs["turn"]
     with pytest.raises(EngineDomainError):
         compute_effort(size, d, v, 0.0)
+
+
+# --- scalar wrappers against the batch forward -------------------------------
+
+coordinates = st.one_of(
+    st.sampled_from([1.0, 18.0]),
+    st.integers(min_value=1, max_value=18).map(float),
+    st.floats(min_value=1.0, max_value=18.0),
+)
+projects = st.builds(
+    lambda i, size, sibr, coords: params.SeerProject(
+        id=f"p{i}", size=size, actual_effort=1.0, sibr=sibr,
+        ratings=dict(zip(params.RATED_SYMBOLS, coords)),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.one_of(st.sampled_from([1e-3, 1.0, 1e12]), st.floats(min_value=1.0, max_value=1e9)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.lists(coordinates, min_size=params.N_RATED, max_size=params.N_RATED),
+)
+
+
+@given(
+    batch=st.lists(projects, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=100),
+    psys_zero_levels=st.sets(st.integers(min_value=0, max_value=17)),
+)
+@settings(max_examples=60, deadline=None)
+def test_scalar_wrappers_equal_batch_forward_exactly(batch, seed, psys_zero_levels):
+    values = perturb_table(synthetic_table(), rel_noise=0.2, seed=seed).values.copy()
+    values[params.RATED_COLUMN["PSYS"], sorted(psys_zero_levels)] = 0.0
+    tbl = synthetic_table().with_values(values)
+    efforts = _batch_efforts(_Batch(batch), tbl.values)
+    matrix = translate_matrix(np.array([p.coordinates() for p in batch]), tbl)
+    for i, p in enumerate(batch):
+        assert effort_for_project(p, tbl).effort == efforts[i]
+        translated = bank_translate(p, tbl)
+        assert [translated[sym] for sym in params.RATED_SYMBOLS] == matrix[i].tolist()

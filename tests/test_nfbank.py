@@ -179,10 +179,10 @@ def test_translate_matrix_matches_scalar_bank(default_table):
     coords = np.array([p.coordinates() for p in projects])
     matrix = translate_matrix(coords, default_table)
     for i, p in enumerate(projects):
-        values = bank_translate(p, default_table)
         for sym in params.RATED_SYMBOLS:
+            reference = nf_output(p.ratings[sym], default_table.row(sym))
             assert matrix[i, params.RATED_COLUMN[sym]] == pytest.approx(
-                values[sym], rel=1e-12, abs=1e-12
+                reference, rel=1e-12, abs=1e-12
             )
 
 
