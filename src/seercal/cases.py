@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import params
 from .calibration import CalibrationConfig, TrainingTrace, train
@@ -42,7 +42,6 @@ class CaseProtocol:
     train_mre_limit: float | None = None          # keep projects with MRE <= limit
     train_range: tuple[int, int] | None = None    # 1-based inclusive
     test_range: tuple[int, int] | None = None
-    train_predicate: Callable[[params.SeerProject, float], bool] | None = None
 
     @staticmethod
     def parse(spec: str) -> "CaseProtocol":
@@ -89,22 +88,16 @@ def split(
     if not projects:
         raise ProtocolError("cannot split an empty dataset")
 
-    needs_baseline = protocol.train_mre_limit is not None or protocol.train_predicate
-    baseline_mre = {}
-    if needs_baseline:
+    if protocol.train_mre_limit is not None:
         if tbl is None:
             raise ProtocolError(
                 f"protocol {protocol.name!r} selects by baseline MRE and needs a table"
             )
-        for p in projects:
-            est = effort_for_project(p, tbl).effort
-            baseline_mre[p.id] = magnitude_relative_error(est, p.actual_effort)
-
-    if protocol.train_predicate is not None:
-        training = [p for p in projects if protocol.train_predicate(p, baseline_mre[p.id])]
-        testing = list(projects)
-    elif protocol.train_mre_limit is not None:
-        training = [p for p in projects if baseline_mre[p.id] <= protocol.train_mre_limit]
+        training = [
+            p for p in projects
+            if magnitude_relative_error(effort_for_project(p, tbl).effort, p.actual_effort)
+            <= protocol.train_mre_limit
+        ]
         testing = list(projects)
     elif protocol.train_range is not None:
         training = _slice(projects, protocol.train_range, "training")

@@ -1,10 +1,15 @@
 """Command-line front-end.
 
 Subcommands: estimate, validate-table, transfer, calibrate, evaluate, case,
-report.  Every command that writes files also writes exactly one JSON run
-manifest alongside them (``manifest.json`` in the output directory, or
-``<out>.manifest.json`` next to a single output file); on a stage failure the
-manifest records the failure and no partial reports are left behind.
+report.  Every command that writes files (transfer, calibrate, evaluate, case,
+and report with --out) runs inside one ``_RunWriter``, which writes exactly
+one JSON run manifest alongside the outputs (``manifest.json`` in the output
+directory, or ``<out>.manifest.json`` next to a single output file).
+
+Every failure is a named stage error: config, YAML and OS errors become
+``SeercalError("<stage>: ...")``, the command exits 2 with that message on
+stderr, and the manifest records the failure with no outputs left behind.
+When the output location itself cannot be created there is no manifest.
 
 All report content is deterministic for identical inputs and config; only
 the manifest carries timestamps.
@@ -13,12 +18,14 @@ the manifest carries timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -37,7 +44,7 @@ from .dataset import (
     save_projects,
     transfer_all,
 )
-from .errors import SeercalError
+from .errors import ReportFormatError, SeercalError
 from .metrics import (
     DEFAULT_OUTLIER_THRESHOLD,
     DEFAULT_PRED_LEVELS,
@@ -62,25 +69,41 @@ def _config_digest(config: dict) -> str:
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """Run one stage; any seercal, config, YAML or OS error becomes
+    ``SeercalError("<name>: ...")``."""
     try:
         return fn(*args, **kwargs)
-    except SeercalError as exc:
+    except (SeercalError, OSError, ValueError, yaml.YAMLError) as exc:
         raise SeercalError(f"{name}: {exc}") from exc
 
 
 class _RunWriter:
-    """Collects output files and writes them plus one manifest."""
+    """One run of a file-writing command: its outputs plus exactly one manifest.
 
-    def __init__(self, outdir: Path, command: str, inputs: dict, config: dict):
-        self.outdir = outdir
+    The target is an output directory (``manifest.json`` goes in it) or, with
+    ``single_file``, one output file (``<out>.manifest.json`` goes beside it).
+    Entering creates the output directory, so an unusable location fails
+    before any work.  A clean exit writes the outputs and an ``ok`` manifest;
+    a stage error writes a ``failed`` manifest, removes any output this run
+    wrote, and propagates.
+    """
+
+    def __init__(self, command: str, target: Path, inputs: dict,
+                 single_file: bool = False):
+        self.started = _utcnow()
         self.command = command
         self.inputs = inputs
-        self.config = config
-        self.started = _utcnow()
-        self.pending: dict[str, str] = {}
+        self.config: dict = {}
+        self.pending: dict[str, str | Callable[[Path], None]] = {}
+        self.written: list[Path] = []
+        if single_file:
+            self.outdir, self.manifest_name = target.parent, f"{target.name}.manifest.json"
+        else:
+            self.outdir, self.manifest_name = target, "manifest.json"
 
-    def add(self, name: str, text: str) -> None:
-        self.pending[name] = text
+    def add(self, name: str, content: str | Callable[[Path], None]) -> None:
+        """Queue an output: its text, or a function that writes it to a path."""
+        self.pending[name] = content
 
     def _manifest(self, status: str, error: str | None) -> dict:
         doc = {
@@ -98,21 +121,43 @@ class _RunWriter:
             doc["error"] = error
         return doc
 
-    def commit(self) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in self.pending.items():
-            (self.outdir / name).write_text(text, encoding="utf-8")
-        manifest = self._manifest("ok", None)
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+    def _write_manifest(self, status: str, error: str | None = None) -> None:
+        (self.outdir / self.manifest_name).write_text(
+            json.dumps(self._manifest(status, error), indent=2) + "\n", encoding="utf-8"
         )
 
-    def fail(self, error: str) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        manifest = self._manifest("failed", error)
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
+    def _commit(self) -> None:
+        for name, content in self.pending.items():
+            path = self.outdir / name
+            self.written.append(path)
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content, encoding="utf-8")
+        self._write_manifest("ok")
+
+    def _fail(self, error: str) -> None:
+        for path in self.written:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        # When the output location is unusable there is no manifest, and the
+        # stage error alone reports the failure.
+        with contextlib.suppress(OSError):
+            self._write_manifest("failed", error)
+
+    def __enter__(self) -> "_RunWriter":
+        _stage("write", self.outdir.mkdir, parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is None:
+            try:
+                _stage("write", self._commit)
+            except SeercalError as err:
+                self._fail(str(err))
+                raise
+        elif isinstance(exc, SeercalError):
+            self._fail(str(exc))
 
 
 def _load_table_arg(spec: str) -> ValueTable:
@@ -145,39 +190,54 @@ def _load_cli_config(path: str | None) -> dict:
     return doc
 
 
+def _number(key: str, raw, kind=float):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise SeercalError(f"{key}: expected a number, got {raw!r}") from None
+
+
 def _calibration_config(args, file_config: dict) -> CalibrationConfig:
     """Defaults < config file < explicit flags (flags win)."""
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_config.get(key, default)
+    def pick(flag_value, key, default, kind=float):
+        raw = flag_value if flag_value is not None else file_config.get(key, default)
+        return _number(key, raw, kind)
 
     return CalibrationConfig(
-        learning_rate=float(pick(args.alpha, "alpha", 1e-3)),
-        max_epochs=int(pick(args.epochs, "epochs", 500)),
-        tolerance=float(pick(args.tolerance, "tolerance", 1e-6)),
-        seed=int(pick(args.seed, "seed", 0)),
-        value_floor=float(pick(args.floor, "floor", 1e-6)),
+        learning_rate=pick(args.alpha, "alpha", 1e-3),
+        max_epochs=pick(args.epochs, "epochs", 500, int),
+        tolerance=pick(args.tolerance, "tolerance", 1e-6),
+        seed=pick(args.seed, "seed", 0, int),
+        value_floor=pick(args.floor, "floor", 1e-6),
         backtrack=not args.no_backtrack if args.no_backtrack is not None
         else bool(file_config.get("backtrack", True)),
     )
 
 
+def _pred_levels(raw) -> tuple[float, ...]:
+    """PRED levels given in percent (comma-separated text or a list) as
+    fractions; each must be a non-negative number."""
+    if raw is None:
+        return DEFAULT_PRED_LEVELS
+    tokens = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(tokens, list):
+        raise SeercalError(f"pred_levels: expected a list of percentages, got {raw!r}")
+    levels = tuple(_number("pred_levels", tok) for tok in tokens)
+    if not all(level >= 0 for level in levels):
+        raise SeercalError(f"pred_levels: levels must be non-negative, got {raw!r}")
+    return tuple(level / 100.0 for level in levels)
+
+
 def _evaluation_knobs(args, file_config: dict) -> tuple[tuple[float, ...], float]:
-    raw_levels = args.pred_levels or file_config.get("pred_levels")
-    if raw_levels is None:
-        levels = DEFAULT_PRED_LEVELS
-    elif isinstance(raw_levels, str):
-        levels = tuple(float(tok) / 100.0 for tok in raw_levels.split(","))
-    else:
-        levels = tuple(float(v) / 100.0 for v in raw_levels)
+    levels = _pred_levels(args.pred_levels or file_config.get("pred_levels"))
     raw_threshold = (
         args.outlier_threshold
         if args.outlier_threshold is not None
         else file_config.get("outlier_threshold")
     )
     threshold = (
-        DEFAULT_OUTLIER_THRESHOLD if raw_threshold is None else float(raw_threshold) / 100.0
+        DEFAULT_OUTLIER_THRESHOLD if raw_threshold is None
+        else _number("outlier_threshold", raw_threshold) / 100.0
     )
     return levels, threshold
 
@@ -239,17 +299,18 @@ def _gather_ratings(args) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    tbl = _load_table_arg(args.table)
+    tbl = _stage("load-table", _load_table_arg, args.table)
     violations = validate_table(tbl)
     if violations:
-        raise SeercalError(f"table is invalid: {violations[0]}")
-    project = params.SeerProject(
-        id="cli", size=args.size, actual_effort=1.0, sibr=args.sibr,
-        ratings=_gather_ratings(args),
-    )
+        raise SeercalError(f"load-table: table is invalid: {violations[0]}")
+    ratings = _stage("ratings", _gather_ratings, args)
     from .engine import effort_for_project
 
-    breakdown = effort_for_project(project, tbl)
+    project = _stage(
+        "estimate", params.SeerProject,
+        id="cli", size=args.size, actual_effort=1.0, sibr=args.sibr, ratings=ratings,
+    )
+    breakdown = _stage("estimate", effort_for_project, project, tbl)
     months = args.months_per_person_year
     if args.json:
         doc = {
@@ -274,7 +335,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate_table(args) -> int:
-    tbl = _load_table_arg(args.table)
+    tbl = _stage("load-table", _load_table_arg, args.table)
     violations = validate_table(tbl)
     if not violations:
         print(f"table OK: {params.N_RATED} parameters x {params.N_LEVELS} levels")
@@ -295,56 +356,37 @@ def _load_mappings(args) -> dict:
 
 def cmd_transfer(args) -> int:
     out_path = Path(args.out)
-    records = _stage("parse", parse_dataset, args.dataset, args.source_model)
-    mappings = _load_mappings(args)
-    projects = _stage("transfer", transfer_all, records, mappings)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_projects(projects, out_path)
-    manifest = {
-        "command": "transfer",
-        "tool_version": __version__,
-        "inputs": {"dataset": args.dataset, "mappings": args.mapping or ["builtin"]},
-        "config": {"source_model": args.source_model},
-        "config_digest": _config_digest({"source_model": args.source_model}),
-        "outputs": [out_path.name],
-        "started_at": _utcnow(),
-        "finished_at": _utcnow(),
-        "status": "ok",
-    }
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    inputs = {"dataset": args.dataset, "mappings": args.mapping or ["builtin"]}
+    with _RunWriter("transfer", out_path, inputs, single_file=True) as run:
+        run.config = {"source_model": args.source_model}
+        records = _stage("parse", parse_dataset, args.dataset, args.source_model)
+        mappings = _load_mappings(args)
+        projects = _stage("transfer", transfer_all, records, mappings)
+        run.add(out_path.name, lambda path: save_projects(projects, path))
     print(f"wrote {len(projects)} project(s) to {out_path}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    outdir = _resolve_outdir(args)
-    file_config = _load_cli_config(args.config)
-    config = _calibration_config(args, file_config)
-    writer = _RunWriter(
-        outdir, "calibrate",
-        {"projects": args.projects, "table": args.table},
-        config.to_dict(),
-    )
-    try:
+    inputs = {"projects": args.projects, "table": args.table}
+    outdir = _stage("config", _resolve_outdir, args)
+    with _RunWriter("calibrate", outdir, inputs) as run:
+        file_config = _stage("config", _load_cli_config, args.config)
+        config = _stage("config", _calibration_config, args, file_config)
+        run.config = config.to_dict()
         tbl = _stage("load-table", _load_table_arg, args.table)
         projects = _stage("load-projects", load_projects, args.projects)
         trace = _stage("train", train, projects, tbl, config)
-    except SeercalError as exc:
-        writer.fail(str(exc))
-        raise
-    meta = {
-        "generated_by": f"seercal {__version__}",
-        "config": config.to_dict(),
-        "epochs_run": trace.epochs_run,
-        "initial_loss": trace.initial_loss,
-        "final_loss": trace.final_loss,
-        "stop_reason": trace.stop_reason,
-    }
-    writer.add("calibrated_table.yaml", table_text(trace.table, meta=meta))
-    writer.add("trace.csv", _trace_csv(trace))
-    writer.commit()
+        meta = {
+            "generated_by": f"seercal {__version__}",
+            "config": config.to_dict(),
+            "epochs_run": trace.epochs_run,
+            "initial_loss": trace.initial_loss,
+            "final_loss": trace.final_loss,
+            "stop_reason": trace.stop_reason,
+        }
+        run.add("calibrated_table.yaml", table_text(trace.table, meta=meta))
+        run.add("trace.csv", _trace_csv(trace))
     print(
         f"calibrated in {trace.epochs_run} epoch(s); loss "
         f"{trace.initial_loss:.6g} -> {trace.final_loss:.6g} ({trace.stop_reason})"
@@ -353,49 +395,36 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    outdir = _resolve_outdir(args)
-    file_config = _load_cli_config(args.config)
-    levels, threshold = _evaluation_knobs(args, file_config)
-    knobs = {"pred_levels": list(levels), "outlier_threshold": threshold}
-    writer = _RunWriter(
-        outdir, "evaluate",
-        {"projects": args.projects, "table": args.table},
-        knobs,
-    )
-    try:
+    inputs = {"projects": args.projects, "table": args.table}
+    outdir = _stage("config", _resolve_outdir, args)
+    with _RunWriter("evaluate", outdir, inputs) as run:
+        file_config = _stage("config", _load_cli_config, args.config)
+        levels, threshold = _stage("config", _evaluation_knobs, args, file_config)
+        run.config = {"pred_levels": list(levels), "outlier_threshold": threshold}
         tbl = _stage("load-table", _load_table_arg, args.table)
         projects = _stage("load-projects", load_projects, args.projects)
         report = _stage("evaluate", evaluate_projects, projects, tbl, levels, threshold)
-    except SeercalError as exc:
-        writer.fail(str(exc))
-        raise
-    writer.add("report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-    writer.add("report.csv", _report_csv(report))
-    writer.add("report.txt", report.render_text() + "\n")
-    writer.commit()
+        run.add("report.json", json.dumps(report.to_dict(), indent=2) + "\n")
+        run.add("report.csv", _report_csv(report))
+        run.add("report.txt", report.render_text() + "\n")
     print(report.render_text())
     return EXIT_OK
 
 
 def cmd_case(args) -> int:
-    outdir = _resolve_outdir(args)
-    file_config = _load_cli_config(args.config)
-    config = _calibration_config(args, file_config)
-    levels, threshold = _evaluation_knobs(args, file_config)
-    run_config = dict(config.to_dict())
-    run_config.update({"pred_levels": list(levels), "outlier_threshold": threshold,
-                       "protocol": args.protocol})
-    writer = _RunWriter(
-        outdir, "case",
-        {
-            "dataset": args.dataset,
-            "mappings": args.mapping or ["builtin"],
-            "table": args.table,
-            "industrial": args.industrial,
-        },
-        run_config,
-    )
-    try:
+    inputs = {
+        "dataset": args.dataset,
+        "mappings": args.mapping or ["builtin"],
+        "table": args.table,
+        "industrial": args.industrial,
+    }
+    outdir = _stage("config", _resolve_outdir, args)
+    with _RunWriter("case", outdir, inputs) as run:
+        file_config = _stage("config", _load_cli_config, args.config)
+        config = _stage("config", _calibration_config, args, file_config)
+        levels, threshold = _stage("config", _evaluation_knobs, args, file_config)
+        run.config = {**config.to_dict(), "pred_levels": list(levels),
+                      "outlier_threshold": threshold, "protocol": args.protocol}
         protocol = _stage("protocol", CaseProtocol.parse, args.protocol)
         tbl = _stage("load-table", _load_table_arg, args.table)
         records = _stage("parse", parse_dataset, args.dataset, args.source_model)
@@ -411,73 +440,63 @@ def cmd_case(args) -> int:
             "case", run_case, projects, tbl, protocol, config, industrial,
             levels, threshold,
         )
-    except SeercalError as exc:
-        writer.fail(str(exc))
-        raise
-    writer.add("case_report.json", json.dumps(result.to_dict(), indent=2) + "\n")
-    writer.add("case_report.txt", render_case_text(result) + "\n")
-    writer.add("report_baseline.csv", _report_csv(result.baseline))
-    writer.add("report_calibrated.csv", _report_csv(result.calibrated))
-    writer.add("change.csv", _change_csv(result.change, result.baseline, result.calibrated))
-    writer.add("trace.csv", _trace_csv(result.trace))
-    if result.industrial_baseline is not None:
-        writer.add("industrial_baseline.csv", _report_csv(result.industrial_baseline))
-        writer.add("industrial_calibrated.csv", _report_csv(result.industrial_calibrated))
-    meta = {
-        "generated_by": f"seercal {__version__}",
-        "config": config.to_dict(),
-        "protocol": result.protocol,
-        "epochs_run": result.trace.epochs_run,
-        "initial_loss": result.trace.initial_loss,
-        "final_loss": result.trace.final_loss,
-        "stop_reason": result.trace.stop_reason,
-    }
-    writer.add("calibrated_table.yaml", table_text(result.table, meta=meta))
-    writer.commit()
+        run.add("case_report.json", json.dumps(result.to_dict(), indent=2) + "\n")
+        run.add("case_report.txt", render_case_text(result) + "\n")
+        run.add("report_baseline.csv", _report_csv(result.baseline))
+        run.add("report_calibrated.csv", _report_csv(result.calibrated))
+        run.add("change.csv", _change_csv(result.change, result.baseline, result.calibrated))
+        run.add("trace.csv", _trace_csv(result.trace))
+        if result.industrial_baseline is not None:
+            run.add("industrial_baseline.csv", _report_csv(result.industrial_baseline))
+            run.add("industrial_calibrated.csv", _report_csv(result.industrial_calibrated))
+        meta = {
+            "generated_by": f"seercal {__version__}",
+            "config": config.to_dict(),
+            "protocol": result.protocol,
+            "epochs_run": result.trace.epochs_run,
+            "initial_loss": result.trace.initial_loss,
+            "final_loss": result.trace.final_loss,
+            "stop_reason": result.trace.stop_reason,
+        }
+        run.add("calibrated_table.yaml", table_text(result.table, meta=meta))
     print(render_case_text(result))
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    path = Path(args.input)
+def _report_text(path: Path, fmt: str) -> str:
+    """Re-render an evaluate or case report JSON as text or CSV."""
     if not path.exists():
         raise SeercalError(f"report not found: {path}")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if "protocol" in doc:
-        baseline = EvaluationReport.from_dict(doc["baseline"])
-        calibrated = EvaluationReport.from_dict(doc["calibrated"])
-        if args.format == "csv":
-            text = _change_csv(doc["change"], baseline, calibrated)
-        else:
-            text = (
-                baseline.render_text(f"Case {doc['protocol']} baseline")
-                + "\n\n"
-                + calibrated.render_text(f"Case {doc['protocol']} calibrated")
-                + "\n"
-            )
-    else:
+    if not isinstance(doc, dict):
+        raise ReportFormatError(f"{path}: not a report (expected a JSON object)")
+    if "protocol" not in doc:
         report = EvaluationReport.from_dict(doc)
-        text = _report_csv(report) if args.format == "csv" else report.render_text() + "\n"
-    if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
-        manifest = {
-            "command": "report",
-            "tool_version": __version__,
-            "inputs": {"input": str(path)},
-            "config": {"format": args.format},
-            "config_digest": _config_digest({"format": args.format}),
-            "outputs": [out_path.name],
-            "started_at": _utcnow(),
-            "finished_at": _utcnow(),
-            "status": "ok",
-        }
-        Path(str(out_path) + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-    else:
-        print(text, end="")
+        return _report_csv(report) if fmt == "csv" else report.render_text() + "\n"
+    missing = [key for key in ("baseline", "calibrated", "change") if key not in doc]
+    if missing:
+        raise ReportFormatError(f"{path}: case report has no {', '.join(missing)}")
+    baseline = EvaluationReport.from_dict(doc["baseline"])
+    calibrated = EvaluationReport.from_dict(doc["calibrated"])
+    if fmt == "csv":
+        return _change_csv(doc["change"], baseline, calibrated)
+    return (
+        baseline.render_text(f"Case {doc['protocol']} baseline")
+        + "\n\n"
+        + calibrated.render_text(f"Case {doc['protocol']} calibrated")
+        + "\n"
+    )
+
+
+def cmd_report(args) -> int:
+    path = Path(args.input)
+    if not args.out:
+        print(_stage("read", _report_text, path, args.format), end="")
+        return EXIT_OK
+    out_path = Path(args.out)
+    with _RunWriter("report", out_path, {"input": str(path)}, single_file=True) as run:
+        run.config = {"format": args.format}
+        run.add(out_path.name, _stage("read", _report_text, path, args.format))
     return EXIT_OK
 
 

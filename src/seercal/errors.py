@@ -49,6 +49,10 @@ class MappingError(SeercalError):
     """A transfer mapping is inconsistent with a record or the registry."""
 
 
+class ReportFormatError(SeercalError):
+    """A report file is not an evaluate or case report."""
+
+
 class ProtocolError(SeercalError):
     """A case protocol cannot be applied to the given dataset."""
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from . import params
 from .engine import effort_for_project
-from .errors import MetricsDomainError
+from .errors import MetricsDomainError, ReportFormatError
 from .table import ValueTable
 
 DEFAULT_PRED_LEVELS = (0.2, 0.3, 0.5, 1.0)
@@ -102,18 +102,21 @@ class EvaluationReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvaluationReport":
-        return EvaluationReport(
-            rows=tuple(
-                ProjectEvaluation(
-                    r["id"], r["estimated"], r["actual"], r["relative_error"], r["mre"]
-                )
-                for r in doc["rows"]
-            ),
-            mmre=doc["mmre"],
-            pred=tuple((lvl, frac) for lvl, frac in doc["pred"]),
-            outlier_threshold=doc["outlier_threshold"],
-            outlier_ids=tuple(doc["outlier_ids"]),
-        )
+        try:
+            return EvaluationReport(
+                rows=tuple(
+                    ProjectEvaluation(
+                        r["id"], r["estimated"], r["actual"], r["relative_error"], r["mre"]
+                    )
+                    for r in doc["rows"]
+                ),
+                mmre=doc["mmre"],
+                pred=tuple((lvl, frac) for lvl, frac in doc["pred"]),
+                outlier_threshold=doc["outlier_threshold"],
+                outlier_ids=tuple(doc["outlier_ids"]),
+            )
+        except KeyError as exc:
+            raise ReportFormatError(f"not an evaluation report: no {exc} entry") from None
 
     def csv_rows(self) -> list[list[str]]:
         out = [["id", "estimated_py", "actual_py", "relative_error", "mre"]]

@@ -35,18 +35,6 @@ NOMINAL_COORDINATE = 8.0
 _GRID = {label: float(i + 1) for i, label in enumerate(RATING_LABELS)}
 
 
-@dataclass(frozen=True)
-class RatingLevel:
-    """One linguistic rating level and its 1-based grid position."""
-
-    label: str
-    grid: int
-
-
-RATING_LEVELS: tuple[RatingLevel, ...] = tuple(
-    RatingLevel(label, i + 1) for i, label in enumerate(RATING_LABELS)
-)
-
 
 def rating_to_coordinate(label: str) -> float:
     """Return the grid coordinate (1..18) of a linguistic rating label."""
@@ -102,34 +90,10 @@ _CANONICAL_ORDER: tuple[str, ...] = (
     "SECR", "D", "SIBR",
 )
 
-
-def canonical_parameters(
-    index_overrides: Mapping[str, int] | None = None,
-) -> tuple[ParameterId, ...]:
-    """Build the parameter registry, optionally permuting indices.
-
-    Overrides must keep the mapping a bijection onto 1..35 and may not move
-    D (34) or SIBR (35).
-    """
-    index_of = {sym: i + 1 for i, sym in enumerate(_CANONICAL_ORDER)}
-    if index_overrides:
-        for sym, idx in index_overrides.items():
-            if sym not in index_of:
-                raise UnknownParameterError(f"unknown parameter symbol {sym!r}")
-            index_of[sym] = int(idx)
-        if index_of["D"] != 34 or index_of["SIBR"] != 35:
-            raise UnknownParameterError("indices of D (34) and SIBR (35) are fixed")
-        if sorted(index_of.values()) != list(range(1, 36)):
-            raise UnknownParameterError(
-                "index overrides must form a bijection onto 1..35"
-            )
-    ordered = sorted(index_of.items(), key=lambda kv: kv[1])
-    return tuple(ParameterId(sym, idx) for sym, idx in ordered)
-
-
-PARAMETERS: tuple[ParameterId, ...] = canonical_parameters()
+PARAMETERS: tuple[ParameterId, ...] = tuple(
+    ParameterId(sym, i + 1) for i, sym in enumerate(_CANONICAL_ORDER)
+)
 RATED_SYMBOLS: tuple[str, ...] = tuple(p.symbol for p in PARAMETERS if p.rated)
-ALL_SYMBOLS: tuple[str, ...] = tuple(p.symbol for p in PARAMETERS)
 N_RATED = len(RATED_SYMBOLS)
 
 # 0-based table-row / matrix-column position per rated symbol.
@@ -138,7 +102,6 @@ RATED_COLUMN: Mapping[str, int] = MappingProxyType(
 )
 
 _BY_SYMBOL = {p.symbol: p for p in PARAMETERS}
-_BY_INDEX = {p.index: p for p in PARAMETERS}
 
 
 def parameter(symbol: str) -> ParameterId:
@@ -146,13 +109,6 @@ def parameter(symbol: str) -> ParameterId:
         return _BY_SYMBOL[symbol]
     except KeyError:
         raise UnknownParameterError(f"unknown parameter symbol {symbol!r}") from None
-
-
-def parameter_by_index(index: int) -> ParameterId:
-    try:
-        return _BY_INDEX[index]
-    except KeyError:
-        raise UnknownParameterError(f"no parameter has index {index}") from None
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,13 @@ DIRECTIONS = (INCREASING, DECREASING)
 
 TABLE_FORMAT = "seercal-value-table/1"
 
+# libyaml parses and emits the same documents several times faster than the
+# pure-Python SafeLoader/SafeDumper, which remain the fallback.
+if yaml.__with_libyaml__:
+    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
@@ -145,7 +152,7 @@ def table_text(tbl: ValueTable, meta: dict | None = None) -> str:
         }
         for j, sym in enumerate(params.RATED_SYMBOLS)
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 
 
 def save_table(tbl: ValueTable, path, meta: dict | None = None) -> None:
@@ -160,7 +167,7 @@ def load_table(path) -> ValueTable:
 def load_table_with_meta(path) -> tuple[ValueTable, dict]:
     """Parse a table file; reject missing rows, missing levels, unknown keys."""
     try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise TableFormatError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "parameters" not in doc:

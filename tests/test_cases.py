@@ -99,15 +99,6 @@ def test_range_protocol_on_short_dataset(dataset93):
         split(dataset93[:10], "c4-1")
 
 
-def test_custom_predicate_split(default_table, dataset93):
-    protocol = CaseProtocol(
-        "custom", train_predicate=lambda p, mre: p.id.endswith("1")
-    )
-    training, testing = split(dataset93, protocol, default_table)
-    assert all(p.id.endswith("1") for p in training)
-    assert len(testing) == 93
-
-
 def test_run_case_zero_alpha_changes_nothing(default_table, dataset93):
     config = CalibrationConfig(learning_rate=0.0, max_epochs=3)
     result = run_case(dataset93[:20], default_table, "c2", config)

@@ -345,3 +345,75 @@ def test_report_rerenders_case(dataset_path, table_path, tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == (outdir / "change.csv").read_text()
+
+
+# --- failure contract -------------------------------------------------------------
+
+CASE_RUN = "case --dataset {dataset} --table {table} --protocol c2 --epochs 2"
+
+# (argv template, failing stage, manifest left behind or None when the output
+# location cannot be created)
+FAILURES = {
+    "negative-alpha": (CASE_RUN + " --outdir {out} --alpha -1", "config",
+                       "{out}/manifest.json"),
+    "non-numeric-pred-level": (CASE_RUN + " --outdir {out} --pred-levels 20,x",
+                               "config", "{out}/manifest.json"),
+    "negative-pred-level": (CASE_RUN + " --outdir {out} --pred-levels -5", "config",
+                            "{out}/manifest.json"),
+    "malformed-config-yaml": (CASE_RUN + " --outdir {out} --config {broken_yaml}",
+                              "config", "{out}/manifest.json"),
+    "non-numeric-config-value": (CASE_RUN + " --outdir {out} --config {bad_tolerance}",
+                                 "config", "{out}/manifest.json"),
+    "case-outdir-under-a-file": (CASE_RUN + " --outdir {blocker}/x", "write", None),
+    "transfer-out-under-a-file": ("transfer --dataset {dataset} --out {blocker}/x/p.csv",
+                                  "write", None),
+    "transfer-missing-dataset": ("transfer --dataset {missing} --out {out}/p.csv",
+                                 "parse", "{out}/p.csv.manifest.json"),
+    "transfer-bad-mapping": (
+        "transfer --dataset {dataset} --mapping {broken_yaml} --out {out}/p.csv",
+        "mapping", "{out}/p.csv.manifest.json"),
+    "report-on-non-report": ("report --input {not_report} --out {out}/r.txt", "read",
+                             "{out}/r.txt.manifest.json"),
+    # the last output's name is taken by a directory: the outputs written
+    # before it are removed again
+    "output-name-taken": (CASE_RUN + " --outdir {occupied}", "write",
+                          "{out}/manifest.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failures_name_their_stage_and_leave_a_failed_manifest(
+    name, dataset_path, table_path, tmp_path, capsys
+):
+    template, stage, manifest = FAILURES[name]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths = {
+        "dataset": dataset_path, "table": table_path, "out": tmp_path / "out",
+        "missing": inputs / "missing.csv", "blocker": inputs / "blocker",
+        "broken_yaml": inputs / "broken.yaml", "bad_tolerance": inputs / "tolerance.yaml",
+        "not_report": inputs / "not_report.json",
+    }
+    paths["blocker"].write_text("a file, not a directory\n")
+    paths["broken_yaml"].write_text("alpha: [0.1, 0.2\n")
+    paths["bad_tolerance"].write_text("tolerance: abc\n")
+    paths["not_report"].write_text(json.dumps({"n_projects": 3}))
+    paths["occupied"] = paths["out"]
+    if "{occupied}" in template:
+        (paths["out"] / "calibrated_table.yaml").mkdir(parents=True)
+
+    code = run_cli(*(token.format(**paths) for token in template.split()))
+
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}:")
+    assert "Traceback" not in err
+    if manifest is None:
+        assert not (tmp_path / "out").exists()
+        return
+    doc = json.loads(Path(manifest.format(**paths)).read_text())
+    assert doc["status"] == "failed"
+    assert doc["error"].startswith(f"{stage}:")
+    assert doc["outputs"] == []
+    assert doc["started_at"] <= doc["finished_at"]
+    assert [p.name for p in paths["out"].iterdir() if p.is_file()] == [Path(manifest).name]

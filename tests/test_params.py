@@ -7,10 +7,8 @@ from seercal.errors import CoordinateRangeError, RatingError, UnknownParameterEr
 from seercal.params import (
     RATING_LABELS,
     SeerProject,
-    canonical_parameters,
     coordinate_to_rating,
     parameter,
-    parameter_by_index,
     rating_to_coordinate,
 )
 
@@ -77,28 +75,13 @@ def test_registry_shape():
 )
 def test_canonical_indices(symbol, index):
     assert parameter(symbol).index == index
-    assert parameter_by_index(index).symbol == symbol
+    assert params.PARAMETERS[index - 1].symbol == symbol
 
 
 def test_sibr_is_the_only_non_rated_parameter():
     assert not parameter("SIBR").rated
     assert all(parameter(s).rated for s in params.RATED_SYMBOLS)
     assert "SIBR" not in params.RATED_SYMBOLS
-
-
-def test_registry_override_swap():
-    swapped = canonical_parameters({"SECR": 32, "TSVL": 33})
-    by_index = {p.index: p.symbol for p in swapped}
-    assert by_index[32] == "SECR" and by_index[33] == "TSVL"
-
-
-def test_registry_override_rejects_moving_d_or_collisions():
-    with pytest.raises(UnknownParameterError):
-        canonical_parameters({"D": 1})
-    with pytest.raises(UnknownParameterError):
-        canonical_parameters({"SECR": 32})  # collides with TSVL
-    with pytest.raises(UnknownParameterError):
-        canonical_parameters({"XXXX": 5})
 
 
 def test_project_fills_missing_ratings_with_nominal():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seercal import params
+from seercal import params, table
+from seercal.calibration import CalibrationConfig, train
 from seercal.errors import TableFormatError
+from seercal.synth import perturb_table, synthesize_projects
 from seercal.table import (
     DECREASING,
     INCREASING,
@@ -13,6 +16,7 @@ from seercal.table import (
     load_table_with_meta,
     save_table,
     synthetic_table,
+    table_text,
     validate_table,
 )
 
@@ -172,3 +176,25 @@ def test_loader_rejects_garbage(tmp_path):
 def test_values_are_read_only(default_table):
     with pytest.raises(ValueError):
         default_table.values[0, 0] = 5.0
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_text_matches_pure_python(tmp_path, default_table, monkeypatch):
+    projects = synthesize_projects(default_table, 20, seed=71, effort_noise=0.1)
+    start = perturb_table(default_table, rel_noise=0.2, seed=72)
+    trace = train(projects, start, CalibrationConfig(learning_rate=0.05, max_epochs=5))
+    meta = {"final_loss": trace.final_loss, "alphas": trace.alphas}
+    texts = {}
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        monkeypatch.setattr(table, "_DUMPER", dumper)
+        texts[dumper] = table_text(trace.table, meta=meta)
+    assert texts[yaml.SafeDumper] == texts[yaml.CSafeDumper]
+    path = tmp_path / "trained.yaml"
+    path.write_text(texts[yaml.CSafeDumper], encoding="utf-8")
+    loaded = {}
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(table, "_LOADER", loader)
+        loaded[loader] = load_table_with_meta(path)
+    (tbl_py, meta_py), (tbl_c, meta_c) = loaded.values()
+    assert tbl_c.equals(trace.table) and tbl_py.equals(trace.table)
+    assert meta_c == meta_py == meta
