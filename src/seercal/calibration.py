@@ -257,12 +257,23 @@ def enforce_monotone(row, direction: str) -> np.ndarray:
     raise TableFormatError(f"unknown direction {direction!r}")
 
 
+_DIRECTION_SIGN = {INCREASING: 1.0, DECREASING: -1.0}
+
+
 def _project_rows(values: np.ndarray, directions: tuple[str, ...]) -> tuple[np.ndarray, int]:
-    """Monotone-repair every row; returns (repaired matrix, #rows changed)."""
+    """Monotone-repair every row; returns (repaired matrix, #rows changed).
+
+    Rows whose every step already follows their direction are left alone,
+    since PAVA would return them bit for bit; rows with NaN or infinite
+    entries (and unknown directions) still go through it.
+    """
     out = values.copy()
     changed = 0
-    for j, direction in enumerate(directions):
-        repaired = enforce_monotone(out[j], direction)
+    sign = np.array([_DIRECTION_SIGN.get(d, np.nan) for d in directions])
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_order = ((np.diff(values, axis=1) * sign[:, None]) >= 0).all(axis=1)
+    for j in np.flatnonzero(~in_order):
+        repaired = enforce_monotone(out[j], directions[j])
         if not np.array_equal(repaired, out[j]):
             changed += 1
             out[j] = repaired

@@ -178,6 +178,10 @@ def _resolve_outdir(args) -> Path:
     raise SeercalError(f"no output directory: pass --outdir or set {OUTDIR_ENV}")
 
 
+CONFIG_KEYS = ("alpha", "epochs", "tolerance", "seed", "floor", "backtrack",
+               "pred_levels", "outlier_threshold")
+
+
 def _load_cli_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -187,30 +191,45 @@ def _load_cli_config(path: str | None) -> dict:
     doc = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
     if not isinstance(doc, dict):
         raise SeercalError(f"{p}: config file must hold a mapping")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            raise SeercalError(f"unknown key {key!r}")
     return doc
 
 
-def _number(key: str, raw, kind=float):
+def _number(key: str, raw) -> float:
     try:
-        return kind(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise SeercalError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _calibration_config(args, file_config: dict) -> CalibrationConfig:
-    """Defaults < config file < explicit flags (flags win)."""
-    def pick(flag_value, key, default, kind=float):
-        raw = flag_value if flag_value is not None else file_config.get(key, default)
-        return _number(key, raw, kind)
+def _integer(key: str, raw) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    value = _number(key, raw)
+    if not value.is_integer():
+        raise SeercalError(f"{key}: expected a whole number, got {raw!r}")
+    return int(value)
 
+
+def _calibration_config(args, file_config: dict) -> CalibrationConfig:
+    """Defaults < config file < explicit flags (flags win); file values are
+    checked even where a flag overrides them."""
+    def pick(flag_value, key, default, kind=_number):
+        value = kind(key, file_config.get(key, default))
+        return value if flag_value is None else kind(key, flag_value)
+
+    backtrack = file_config.get("backtrack", True)
+    if not isinstance(backtrack, bool):
+        raise SeercalError(f"backtrack: expected true or false, got {backtrack!r}")
     return CalibrationConfig(
         learning_rate=pick(args.alpha, "alpha", 1e-3),
-        max_epochs=pick(args.epochs, "epochs", 500, int),
+        max_epochs=pick(args.epochs, "epochs", 500, _integer),
         tolerance=pick(args.tolerance, "tolerance", 1e-6),
-        seed=pick(args.seed, "seed", 0, int),
+        seed=pick(args.seed, "seed", 0, _integer),
         value_floor=pick(args.floor, "floor", 1e-6),
-        backtrack=not args.no_backtrack if args.no_backtrack is not None
-        else bool(file_config.get("backtrack", True)),
+        backtrack=not args.no_backtrack if args.no_backtrack is not None else backtrack,
     )
 
 

@@ -10,7 +10,8 @@ through published combination formulas rather than directly.
 The model is written once, as the array forward :func:`effort_terms`, which
 also returns the intermediates the calibration backward pass and
 :func:`combined_partials` reuse.  The scalar ``compute_*`` functions are
-n = 1 wrappers around it and alone run the (vectorized) domain checks.
+n = 1 wrappers around it.  They and the batch evaluation in
+:mod:`seercal.metrics` validate through one vectorized domain check.
 """
 
 from __future__ import annotations
@@ -217,20 +218,41 @@ def _columns(values: Mapping[str, float], symbols) -> dict[str, np.ndarray]:
     return dict(zip(symbols, column[:, None]))
 
 
-def _check_domain(values: Mapping[str, np.ndarray], kinds, positive=()) -> None:
-    """Vectorized domain checks; raise :class:`EngineDomainError` on the first failure.
-
-    ``kinds`` names combined formulas whose constrained argument is read from
-    ``values``; ``positive`` holds (label, array) pairs that must be positive.
-    """
-    checks = [(label, x, *_POSITIVE) for label, x in positive]
+def _combined_checks(values: Mapping[str, np.ndarray], kinds) -> list[tuple]:
+    """Domain checks of the constrained argument of each named combined formula."""
+    checks = []
     for kind in kinds:
         name, requirement, ok = _COMBINED_DOMAIN[kind]
         checks.append((f"{kind}: {name}", values[name], requirement, ok))
-    for label, x, requirement, ok in checks:
-        good = ok(x)
-        if not good.all():
-            raise EngineDomainError(f"{label} must {requirement}, got {float(x[~good][0])!r}")
+    return checks
+
+
+def _effort_checks(size, terms: EffortTerms) -> list[tuple]:
+    """Domain checks of one effort forward, in the order they are reported."""
+    return [
+        ("size", size, *_POSITIVE),
+        ("staffing complexity", terms.d, *_POSITIVE),
+        ("TURN", terms.values["TURN"], *_POSITIVE),
+        *_combined_checks(terms.values, COMBINED_ARGS),
+        ("ctbx", terms.ctbx, *_POSITIVE),
+    ]
+
+
+def _check_domain(checks, ids=None) -> None:
+    """Vectorized domain checks; raise :class:`EngineDomainError` on a failure.
+
+    ``checks`` holds (label, array, requirement, predicate) tuples with one
+    array entry per project.  The first project that fails any check is
+    reported with its first failing check, as a project-by-project loop
+    would; ``ids`` names that project in the message.
+    """
+    bad = np.array([~ok(x) for _, x, _, ok in checks])
+    failing = bad.any(axis=0)
+    if failing.any():
+        i = int(np.argmax(failing))
+        label, x, requirement, _ = checks[int(np.argmax(bad[:, i]))]
+        where = f"project {ids[i]!r}: " if ids is not None else ""
+        raise EngineDomainError(f"{where}{label} must {requirement}, got {float(x[i])!r}")
 
 
 def compute_combined(kind: str, a: float, b: float) -> float:
@@ -238,7 +260,7 @@ def compute_combined(kind: str, a: float, b: float) -> float:
     if kind not in COMBINED_ARGS:
         raise EngineDomainError(f"unknown combined-parameter kind {kind!r}")
     values = dict(zip(COMBINED_ARGS[kind], np.array([[a], [b]], dtype=float)))
-    _check_domain(values, (kind,))
+    _check_domain(_combined_checks(values, (kind,)))
     with np.errstate(all="ignore"):
         return float(_combined_all(values, (kind,))[kind][0][0])
 
@@ -246,7 +268,7 @@ def compute_combined(kind: str, a: float, b: float) -> float:
 def compute_ctbx(values: Mapping[str, float]) -> float:
     """Personnel/tooling product feeding basic technology."""
     columns = _columns(values, _CTBX_INPUTS)
-    _check_domain(columns, ("AEXPAPPL",))
+    _check_domain(_combined_checks(columns, ("AEXPAPPL",)))
     with np.errstate(all="ignore"):
         return float(_ctbx(columns, _combined_all(columns, ("AEXPAPPL",)))[0])
 
@@ -254,7 +276,7 @@ def compute_ctbx(values: Mapping[str, float]) -> float:
 def compute_parm_adjustment(values: Mapping[str, float], sibr: float) -> float:
     """21-factor adjustment product: 5 combined factors then 16 singles."""
     columns = _columns({**values, "SIBR": sibr}, _ADJUSTMENT_INPUTS)
-    _check_domain(columns, ADJUSTMENT_COMBINED)
+    _check_domain(_combined_checks(columns, ADJUSTMENT_COMBINED))
     with np.errstate(all="ignore"):
         combined = _combined_all(columns, ADJUSTMENT_COMBINED)
         return float(_parm_adjustment(columns, combined)[0])
@@ -270,14 +292,10 @@ def compute_effort(
     reuse fraction.  Efforts are person-years.
     """
     columns = _columns({**values, "SIBR": sibr}, ("TURN",) + _CTBX_INPUTS + _ADJUSTMENT_INPUTS)
-    size_, d_ = np.array([size], dtype=float), np.array([d], dtype=float)
-    _check_domain(
-        columns, COMBINED_ARGS,
-        (("size", size_), ("staffing complexity", d_), ("TURN", columns["TURN"])),
-    )
+    size_ = np.array([size], dtype=float)
     with np.errstate(all="ignore"):
-        terms = effort_terms(size_, d_, columns)
-    _check_domain(columns, (), (("ctbx", terms.ctbx),))
+        terms = effort_terms(size_, np.array([d], dtype=float), columns)
+    _check_domain(_effort_checks(size_, terms))
     breakdown = terms.first()
     if not np.isfinite(breakdown.effort):
         raise EngineDomainError(f"effort is non-finite for the given inputs: {breakdown}")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seercal import params
 from seercal.engine import compute_combined
+from seercal.synth import perturb_table
 from seercal.table import ValueTable, synthetic_table
 
 # Baseline quantitative inputs: every multiplier at 1, plausible values for
@@ -40,6 +42,32 @@ def compensated_values(sibr=0.0, **overrides):
     aexpappl = compute_combined("AEXPAPPL", v["AEXP"], v["APPL"])
     v["ACAP"] = 4.11 / aexpappl
     return v
+
+
+# Projects for the scalar-vs-batch properties: coordinates at 1, 18 and the
+# integer kinks, sizes from 1e-3 to 1e12 SLOC, SIBR at 0 and 1.
+coordinates = st.one_of(
+    st.sampled_from([1.0, 18.0]),
+    st.integers(min_value=1, max_value=18).map(float),
+    st.floats(min_value=1.0, max_value=18.0),
+)
+projects = st.builds(
+    lambda i, size, sibr, coords: params.SeerProject(
+        id=f"p{i}", size=size, actual_effort=1.0, sibr=sibr,
+        ratings=dict(zip(params.RATED_SYMBOLS, coords)),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.one_of(st.sampled_from([1e-3, 1.0, 1e12]), st.floats(min_value=1.0, max_value=1e9)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.lists(coordinates, min_size=params.N_RATED, max_size=params.N_RATED),
+)
+
+
+def perturbed_table(seed, psys_zero_levels=()):
+    """The synthetic table with 20 % noise, PSYS = 0 at the given levels."""
+    values = perturb_table(synthetic_table(), rel_noise=0.2, seed=seed).values.copy()
+    values[params.RATED_COLUMN["PSYS"], sorted(psys_zero_levels)] = 0.0
+    return synthetic_table().with_values(values)
 
 
 def demo_dataset_rows(n, model="COCOMO81", seed=0):

@@ -268,6 +268,39 @@ def test_enforce_monotone_output_is_monotone_and_idempotent(row, direction):
     assert np.array_equal(enforce_monotone(out, direction), out)
 
 
+entries = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+ordered_rows = st.lists(
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=18, max_size=18
+).flatmap(lambda row: st.sampled_from([sorted(row), sorted(row, reverse=True)]))
+# Rows in either order (ties included), in order but for one NaN or infinite
+# entry, or arbitrary.
+table_rows = st.one_of(
+    ordered_rows,
+    st.tuples(
+        ordered_rows, st.integers(0, 17), st.sampled_from([math.nan, math.inf, -math.inf])
+    ).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+    st.lists(entries, min_size=18, max_size=18),
+)
+
+
+@given(st.lists(table_rows, min_size=params.N_RATED, max_size=params.N_RATED))
+def test_project_rows_equals_full_sweep(rows):
+    values = np.array(rows)
+    directions = synthetic_table().directions
+    want, want_count = values.copy(), 0
+    for j, direction in enumerate(directions):
+        repaired = enforce_monotone(want[j], direction)
+        if not np.array_equal(repaired, want[j]):
+            want_count += 1
+            want[j] = repaired
+    got, count = calibration._project_rows(values, directions)
+    assert count == want_count
+    assert got.tobytes() == want.tobytes()
+
+
 # --- training ---------------------------------------------------------------
 
 

@@ -364,6 +364,13 @@ FAILURES = {
                               "config", "{out}/manifest.json"),
     "non-numeric-config-value": (CASE_RUN + " --outdir {out} --config {bad_tolerance}",
                                  "config", "{out}/manifest.json"),
+    "unknown-config-key": (CASE_RUN + " --outdir {out} --config {typo_key}", "config",
+                           "{out}/manifest.json"),
+    "non-integral-config-epochs": (CASE_RUN + " --outdir {out} --config {half_epochs}",
+                                   "config", "{out}/manifest.json"),
+    "non-boolean-config-backtrack": (
+        CASE_RUN + " --outdir {out} --config {string_backtrack}", "config",
+        "{out}/manifest.json"),
     "case-outdir-under-a-file": (CASE_RUN + " --outdir {blocker}/x", "write", None),
     "transfer-out-under-a-file": ("transfer --dataset {dataset} --out {blocker}/x/p.csv",
                                   "write", None),
@@ -392,12 +399,16 @@ def test_failures_name_their_stage_and_leave_a_failed_manifest(
         "dataset": dataset_path, "table": table_path, "out": tmp_path / "out",
         "missing": inputs / "missing.csv", "blocker": inputs / "blocker",
         "broken_yaml": inputs / "broken.yaml", "bad_tolerance": inputs / "tolerance.yaml",
-        "not_report": inputs / "not_report.json",
+        "not_report": inputs / "not_report.json", "typo_key": inputs / "typo.yaml",
+        "half_epochs": inputs / "epochs.yaml", "string_backtrack": inputs / "backtrack.yaml",
     }
     paths["blocker"].write_text("a file, not a directory\n")
     paths["broken_yaml"].write_text("alpha: [0.1, 0.2\n")
     paths["bad_tolerance"].write_text("tolerance: abc\n")
     paths["not_report"].write_text(json.dumps({"n_projects": 3}))
+    paths["typo_key"].write_text("alhpa: 0.1\n")
+    paths["half_epochs"].write_text("epochs: 2.5\n")
+    paths["string_backtrack"].write_text('backtrack: "no"\n')
     paths["occupied"] = paths["out"]
     if "{occupied}" in template:
         (paths["out"] / "calibrated_table.yaml").mkdir(parents=True)
@@ -417,3 +428,22 @@ def test_failures_name_their_stage_and_leave_a_failed_manifest(
     assert doc["outputs"] == []
     assert doc["started_at"] <= doc["finished_at"]
     assert [p.name for p in paths["out"].iterdir() if p.is_file()] == [Path(manifest).name]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alhpa: 0.1\n", "error: config: unknown key 'alhpa'"),
+        ("epochs: 2.5\n", "error: config: epochs: expected a whole number, got 2.5"),
+        ("seed: 1.5\n", "error: config: seed: expected a whole number, got 1.5"),
+        ('backtrack: "no"\n', "error: config: backtrack: expected true or false, got 'no'"),
+    ],
+)
+def test_config_file_errors_name_the_key(text, message, tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    code = run_cli("calibrate", "--projects", str(tmp_path / "unused.csv"),
+                   "--table", "synthetic", "--config", str(config),
+                   "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.strip() == message

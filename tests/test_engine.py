@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compensated_values, engine_values
+from conftest import compensated_values, engine_values, perturbed_table, projects
 from seercal import params
 from seercal.calibration import _Batch, _batch_efforts
 from seercal.engine import (
@@ -18,8 +18,6 @@ from seercal.engine import (
 )
 from seercal.errors import EngineDomainError, MissingParameterError
 from seercal.nfbank import bank_translate, translate_matrix
-from seercal.synth import perturb_table
-from seercal.table import synthetic_table
 
 
 def reference_effort(size, d, sibr, v):
@@ -295,23 +293,6 @@ def test_effort_domain_errors(kwargs):
 
 # --- scalar wrappers against the batch forward -------------------------------
 
-coordinates = st.one_of(
-    st.sampled_from([1.0, 18.0]),
-    st.integers(min_value=1, max_value=18).map(float),
-    st.floats(min_value=1.0, max_value=18.0),
-)
-projects = st.builds(
-    lambda i, size, sibr, coords: params.SeerProject(
-        id=f"p{i}", size=size, actual_effort=1.0, sibr=sibr,
-        ratings=dict(zip(params.RATED_SYMBOLS, coords)),
-    ),
-    st.integers(min_value=0, max_value=10**6),
-    st.one_of(st.sampled_from([1e-3, 1.0, 1e12]), st.floats(min_value=1.0, max_value=1e9)),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
-    st.lists(coordinates, min_size=params.N_RATED, max_size=params.N_RATED),
-)
-
-
 @given(
     batch=st.lists(projects, min_size=1, max_size=6),
     seed=st.integers(min_value=0, max_value=100),
@@ -319,9 +300,7 @@ projects = st.builds(
 )
 @settings(max_examples=60, deadline=None)
 def test_scalar_wrappers_equal_batch_forward_exactly(batch, seed, psys_zero_levels):
-    values = perturb_table(synthetic_table(), rel_noise=0.2, seed=seed).values.copy()
-    values[params.RATED_COLUMN["PSYS"], sorted(psys_zero_levels)] = 0.0
-    tbl = synthetic_table().with_values(values)
+    tbl = perturbed_table(seed, psys_zero_levels)
     efforts = _batch_efforts(_Batch(batch), tbl.values)
     matrix = translate_matrix(np.array([p.coordinates() for p in batch]), tbl)
     for i, p in enumerate(batch):

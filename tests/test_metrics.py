@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seercal.errors import MetricsDomainError
+from conftest import perturbed_table, projects
+from seercal import metrics, params
+from seercal.engine import effort_for_project
+from seercal.errors import EngineDomainError, MetricsDomainError
 from seercal.metrics import (
     EvaluationReport,
     evaluate_projects,
@@ -137,3 +140,42 @@ def test_pred_levels_sorted_and_custom(default_table):
     assert [lvl for lvl, _ in report.pred] == [0.25, 1.0]
     fractions = [frac for _, frac in report.pred]
     assert fractions == sorted(fractions)
+
+
+@given(
+    batch=st.lists(projects, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=100),
+    psys_zero_levels=st.sets(st.integers(min_value=0, max_value=17)),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_rows_equal_scalar_estimates_exactly(batch, seed, psys_zero_levels):
+    tbl = perturbed_table(seed, psys_zero_levels)
+    report = evaluate_projects(batch, tbl)
+    for p, row in zip(batch, report.rows):
+        assert row.estimated == effort_for_project(p, tbl).effort
+
+
+@pytest.mark.parametrize("block", [2048, 1])
+def test_domain_error_names_first_offending_project(block, default_table, monkeypatch):
+    # APPL is zero only at level 3 and TURN only at level 5, so only projects
+    # rated exactly there fail; the first of them is named, even though a
+    # later one fails the earlier TURN check, in one block or in several.
+    monkeypatch.setattr(metrics, "_BLOCK", block)
+    values = default_table.values.copy()
+    values[params.RATED_COLUMN["APPL"], 2] = 0.0
+    values[params.RATED_COLUMN["TURN"], 4] = 0.0
+    tbl = default_table.with_values(values)
+    batch = [
+        SeerProject(id=name, size=1e4, actual_effort=1.0, ratings=ratings)
+        for name, ratings in (("ok", {}), ("bad-appl", {"APPL": 3.0}),
+                              ("bad-turn", {"TURN": 5.0}))
+    ]
+    message = "AEXPAPPL: APPL must be positive, got 0.0"
+    with pytest.raises(EngineDomainError) as exc:
+        evaluate_projects(batch, tbl)
+    assert str(exc.value) == f"project 'bad-appl': {message}"
+    with pytest.raises(EngineDomainError) as exc:
+        effort_for_project(batch[1], tbl)
+    assert str(exc.value) == message
+    with pytest.raises(EngineDomainError, match="^project 'bad-turn': TURN must be positive"):
+        evaluate_projects(batch[2:], tbl)
