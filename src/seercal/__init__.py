@@ -3,6 +3,7 @@
 Library layout:
 
 - :mod:`seercal.params`      rating scale, parameter registry, project records
+                             (``ProjectSet`` columns; ``SeerProject`` is its n = 1 view)
 - :mod:`seercal.table`       the 34x18 value table, validation, file format
 - :mod:`seercal.nfbank`      fuzzy sub-models: batch bank plus the reference definition
 - :mod:`seercal.engine`      the array effort model and its n = 1 wrappers
@@ -60,6 +61,7 @@ from .nfbank import bank_translate, firing_strengths, membership, nf_output, nor
 from .params import (
     RATING_LABELS,
     ParameterId,
+    ProjectSet,
     SeerProject,
     coordinate_to_rating,
     rating_to_coordinate,
@@ -89,7 +91,7 @@ __all__ = [
     "EvaluationReport", "evaluate_projects", "magnitude_relative_error",
     "mmre", "pred", "relative_error",
     "bank_translate", "firing_strengths", "membership", "nf_output", "normalize",
-    "RATING_LABELS", "ParameterId", "SeerProject", "coordinate_to_rating",
+    "RATING_LABELS", "ParameterId", "ProjectSet", "SeerProject", "coordinate_to_rating",
     "rating_to_coordinate",
     "perturb_table", "recovery_experiment", "synthesize_projects",
     "ValueTable", "Violation", "load_table", "save_table", "synthetic_table",

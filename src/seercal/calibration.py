@@ -106,17 +106,13 @@ class _Batch:
     """Projects unpacked into arrays once per training/loss call."""
 
     def __init__(self, projects: Sequence[params.SeerProject]):
-        if not projects:
+        projects = params.ProjectSet.of(projects)
+        if not len(projects):
             raise DegenerateInputError("project list is empty")
-        self.coords = np.array([p.coordinates() for p in projects])
-        self.sizes = np.array([p.size for p in projects])
-        self.sibrs = np.array([p.sibr for p in projects])
-        self.actuals = np.array([p.actual_effort for p in projects])
-        self.weights = np.array([p.weight for p in projects])
-        if np.any(self.actuals <= 0):
-            raise MetricsDomainError("every project needs a positive actual effort")
+        self.sizes, self.sibrs = projects.sizes, projects.sibrs
+        self.actuals, self.weights = projects.actuals, projects.weights
         # Flat table index of the lower active level, and upper-level weight.
-        self.entry_lo, self.level_frac = membership_weights(self.coords)
+        self.entry_lo, self.level_frac = membership_weights(projects.coords)
 
     def bank_values(self, values_matrix: np.ndarray) -> np.ndarray:
         return interpolate(values_matrix, self.entry_lo, self.level_frac)

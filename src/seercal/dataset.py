@@ -25,10 +25,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from . import params
@@ -106,6 +109,10 @@ def parse_dataset(path, default_source_model: str = COCOMO81) -> list[RawProject
             raise DatasetSchemaError(
                 f"{path}: unknown driver column(s): {', '.join(unknown)}"
             )
+        foreign = {
+            m: sorted(c for c in driver_columns if c not in SOURCE_DRIVERS[m])
+            for m in SOURCE_MODELS
+        }
 
         records = []
         for line_no, row in enumerate(reader, start=2):
@@ -115,10 +122,7 @@ def parse_dataset(path, default_source_model: str = COCOMO81) -> list[RawProject
             model = (row.get("source_model") or default_source_model).strip().upper()
             if model not in SOURCE_MODELS:
                 raise _row_error(path, line_no, f"unknown source model {model!r}")
-            bad = sorted(
-                c for c in driver_columns
-                if (row.get(c) or "").strip() and c not in SOURCE_DRIVERS[model]
-            )
+            bad = [c for c in foreign[model] if (row.get(c) or "").strip()]
             if bad:
                 raise _row_error(
                     path, line_no,
@@ -279,12 +283,67 @@ def transfer(record: RawProjectRecord, mapping: MappingTable) -> params.SeerProj
     Every rated parameter not covered by a rule receives the mapping's
     default (Nominal) coordinate.
     """
+    return transfer_all([record], {record.source_model: mapping})[0]
+
+
+def transfer_all(
+    records: Sequence[RawProjectRecord],
+    mappings: Mapping[str, MappingTable] | None = None,
+) -> params.ProjectSet:
+    """Transfer a heterogeneous record list, choosing the mapping per model.
+
+    Each rule is one label -> coordinate lookup over the records of its
+    model.  A failure raises what transferring the records one at a time
+    meets first: the first failing record's mapping error, else its range
+    error.
+    """
+    mappings = dict(mappings or {})
+    coords = np.full((len(records), params.N_RATED), np.nan)
+    models = [r.source_model for r in records]
+    for model in dict.fromkeys(models):
+        try:
+            mapping = _mapping_for(model, mappings)
+        except MappingError:
+            continue  # the rows stay NaN and _check_record raises below
+        if mapping.source_model != model:
+            continue
+        rows = [i for i, m in enumerate(models) if m == model]
+        ratings = [records[i].ratings for i in rows]
+        coords[rows] = mapping.default_coordinate
+        for rule in mapping.rules:
+            to_coordinate = rule.ratings.get
+            coords[rows, params.RATED_COLUMN[rule.target]] = [
+                to_coordinate(r.get(rule.source), np.nan) for r in ratings
+            ]
+    columns = (
+        [r.id for r in records], coords,
+        np.array([r.size_kloc for r in records], dtype=float) * 1000.0,
+        [r.sibr for r in records], [r.actual_effort for r in records],
+        [r.weight for r in records],
+    )
+    failed = np.isnan(coords).any(axis=1)
+    if failed.any():
+        first = int(failed.argmax())
+        params.ProjectSet(*(c[:first] for c in columns))  # earlier range errors win
+        _check_record(records[first], mappings)
+    return params.ProjectSet(*columns)
+
+
+def _mapping_for(model: str, mappings: dict) -> MappingTable:
+    mapping = mappings.get(model)
+    if mapping is None:
+        mapping = mappings[model] = builtin_mapping(model)
+    return mapping
+
+
+def _check_record(record: RawProjectRecord, mappings: dict) -> None:
+    """Raise the mapping error that transferring ``record`` meets, if any."""
+    mapping = _mapping_for(record.source_model, mappings)
     if mapping.source_model != record.source_model:
         raise MappingError(
             f"project {record.id!r}: record is {record.source_model} but the "
             f"mapping covers {mapping.source_model}"
         )
-    ratings: dict[str, float] = {}
     for rule in mapping.rules:
         label = record.ratings.get(rule.source)
         if label is None:
@@ -292,106 +351,129 @@ def transfer(record: RawProjectRecord, mapping: MappingTable) -> params.SeerProj
                 f"project {record.id!r}: rule {rule.source}->{rule.target} "
                 f"references a driver absent from the record"
             )
-        coord = rule.ratings.get(label)
-        if coord is None:
+        if rule.ratings.get(label) is None:
             raise MappingError(
                 f"project {record.id!r}: rule {rule.source}->{rule.target} "
                 f"has no transform for label {label!r}"
             )
-        ratings[rule.target] = coord
-    for sym in params.RATED_SYMBOLS:
-        ratings.setdefault(sym, mapping.default_coordinate)
-    return params.SeerProject(
-        id=record.id,
-        size=record.size_kloc * 1000.0,
-        actual_effort=record.actual_effort,
-        sibr=record.sibr,
-        ratings=ratings,
-        weight=record.weight,
-    )
-
-
-def transfer_all(
-    records: Sequence[RawProjectRecord],
-    mappings: Mapping[str, MappingTable] | None = None,
-) -> list[params.SeerProject]:
-    """Transfer a heterogeneous record list, choosing the mapping per model."""
-    mappings = dict(mappings or {})
-    out = []
-    for rec in records:
-        mapping = mappings.get(rec.source_model)
-        if mapping is None:
-            mapping = builtin_mapping(rec.source_model)
-            mappings[rec.source_model] = mapping
-        out.append(transfer(rec, mapping))
-    return out
 
 
 # --- canonical model-ready project files -----------------------------------
 
 _PROJECT_FIELDS = ("id", "size_sloc", "actual_effort_py", "sibr", "weight")
+# The numeric cells of a CSV row in the order they are converted, and what
+# an empty cell reads as (None: the cell must hold a number).
+_NUMERIC_CELLS = params.RATED_SYMBOLS + ("size_sloc", "actual_effort_py", "sibr", "weight")
+_EMPTY_CELL = (params.NOMINAL_COORDINATE,) * params.N_RATED + (None, None, 0.0, 1.0)
+
+
+def _rows(projects: params.ProjectSet):
+    """(id, size, actual, sibr, weight, coordinates) per project, as Python
+    values converted a block at a time."""
+    for start in range(0, len(projects), params.BLOCK_ROWS):
+        block = projects[start:start + params.BLOCK_ROWS]
+        yield from zip(
+            block.ids, block.sizes.tolist(), block.actuals.tolist(),
+            block.sibrs.tolist(), block.weights.tolist(), block.coords.tolist(),
+        )
 
 
 def save_projects(projects: Sequence[params.SeerProject], path) -> None:
     """Write projects in the canonical format (CSV or JSON by suffix)."""
     path = Path(path)
+    projects = params.ProjectSet.of(projects)
     if path.suffix.lower() == ".json":
-        doc = [
-            {
-                "id": p.id, "size_sloc": p.size, "actual_effort_py": p.actual_effort,
-                "sibr": p.sibr, "weight": p.weight,
-                "ratings": {s: p.ratings[s] for s in params.RATED_SYMBOLS},
-            }
-            for p in projects
-        ]
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        # The layout of json.dumps(list_of_entries, indent=2), an entry at a time.
+        with path.open("w", encoding="utf-8") as fh:
+            sep = "\n"
+            fh.write("[")
+            for pid, size, actual, sibr, weight, coords in _rows(projects):
+                entry = {
+                    "id": pid, "size_sloc": size, "actual_effort_py": actual,
+                    "sibr": sibr, "weight": weight,
+                    "ratings": dict(zip(params.RATED_SYMBOLS, coords)),
+                }
+                fh.write(sep + "  " + json.dumps(entry, indent=2).replace("\n", "\n  "))
+                sep = ",\n"
+            fh.write("\n]\n" if len(projects) else "]\n")
         return
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(_PROJECT_FIELDS) + list(params.RATED_SYMBOLS))
-        for p in projects:
-            writer.writerow(
-                [p.id, repr(p.size), repr(p.actual_effort), repr(p.sibr), repr(p.weight)]
-                + [repr(p.ratings[s]) for s in params.RATED_SYMBOLS]
-            )
+        for pid, *numbers, coords in _rows(projects):
+            writer.writerow([pid, *map(repr, numbers), *map(repr, coords)])
 
 
-def load_projects(path) -> list[params.SeerProject]:
-    """Read projects written by :func:`save_projects`."""
+def load_projects(path) -> params.ProjectSet:
+    """Read projects written by :func:`save_projects`.
+
+    A CSV file is read a block of rows at a time into the arrays.  Errors are
+    those of reading the rows one at a time with ``csv.DictReader`` (blank
+    lines skipped, missing trailing cells empty): the first bad row raises,
+    and its number counts the rows read.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetParseError(f"projects file not found: {path}")
     if path.suffix.lower() == ".json":
         doc = json.loads(path.read_text(encoding="utf-8"))
-        return [
+        return params.ProjectSet.of([
             params.SeerProject(
                 id=entry["id"], size=entry["size_sloc"],
                 actual_effort=entry["actual_effort_py"], sibr=entry.get("sibr", 0.0),
                 ratings=entry.get("ratings", {}), weight=entry.get("weight", 1.0),
             )
             for entry in doc
-        ]
-    out = []
+        ])
+    ids: list = []
+    numbers = [np.empty((0, len(_NUMERIC_CELLS)))]
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DatasetSchemaError(f"{path}: empty file, header row required")
-        missing = sorted(set(_PROJECT_FIELDS) - set(reader.fieldnames))
+        missing = sorted(set(_PROJECT_FIELDS) - set(header))
         if missing:
             raise DatasetSchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
+        # Rows are cut or padded to the header; a duplicate name reads its last
+        # column, and an absent rating column the empty cell past the header.
+        column = {name: k for k, name in enumerate(header)}
+        padding = [None] * (len(header) + 1)
+        cells_of = itemgetter(*(column.get(name, len(header)) for name in _NUMERIC_CELLS))
+        rows = filter(None, reader)  # blank lines, as csv.DictReader skips them
+        while block := [r[:len(header)] + padding for r in islice(rows, params.BLOCK_ROWS)]:
+            block_ids = [row[column["id"]] for row in block]
+            cells = list(map(cells_of, block))
+            numbers.append(_csv_numbers(path, len(ids) + 2, block_ids, cells))
+            ids += block_ids
+    return _project_set(ids, np.concatenate(numbers))
+
+
+def _project_set(ids, numbers: np.ndarray) -> params.ProjectSet:
+    """The projects of (n, 38) numeric cells in ``_NUMERIC_CELLS`` order."""
+    size, actual, sibr, weight = numbers[:, params.N_RATED:].T
+    return params.ProjectSet(ids, numbers[:, :params.N_RATED], size, sibr, actual, weight)
+
+
+def _csv_numbers(path, first_line: int, ids: list, cells: list) -> np.ndarray:
+    """The numeric cells of one block of rows, checked as projects."""
+    error = None
+    try:
+        numbers = np.fromiter(map(float, chain.from_iterable(cells)), float)
+    except (TypeError, ValueError):
+        # Empty cells or a bad one: convert row by row up to the first bad row.
+        numbers = []
+        for k, row in enumerate(cells):
             try:
-                ratings = {
-                    s: float(row[s]) for s in params.RATED_SYMBOLS if row.get(s)
-                }
-                out.append(
-                    params.SeerProject(
-                        id=row["id"], size=float(row["size_sloc"]),
-                        actual_effort=float(row["actual_effort_py"]),
-                        sibr=float(row.get("sibr") or 0.0),
-                        ratings=ratings, weight=float(row.get("weight") or 1.0),
-                    )
-                )
+                numbers.append([
+                    float(c) if c or empty is None else empty
+                    for c, empty in zip(row, _EMPTY_CELL)
+                ])
             except (TypeError, ValueError) as exc:
-                raise _row_error(path, line_no, f"bad numeric field: {exc}")
-    return out
+                error = _row_error(path, first_line + k, f"bad numeric field: {exc}")
+                break
+    numbers = np.reshape(numbers, (-1, len(_NUMERIC_CELLS)))
+    _project_set(ids[:len(numbers)], numbers)  # range errors in earlier rows win
+    if error is not None:
+        raise error
+    return numbers

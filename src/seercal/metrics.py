@@ -42,9 +42,13 @@ def mmre(pairs: Iterable[tuple[float, float]]) -> float:
 
 def pred(pairs: Iterable[tuple[float, float]], level: float) -> float:
     """Fraction of pairs whose MRE is <= level (inclusive boundary)."""
+    return _pred((magnitude_relative_error(est, act) for est, act in pairs), level)
+
+
+def _pred(mres: Iterable[float], level: float) -> float:
     if not level >= 0:
         raise MetricsDomainError(f"PRED level must be non-negative, got {level!r}")
-    mres = [magnitude_relative_error(est, act) for est, act in pairs]
+    mres = list(mres)
     if not mres:
         raise MetricsDomainError("PRED needs at least one pair")
     return sum(1 for m in mres if m <= level) / len(mres)
@@ -141,26 +145,19 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-# Projects per batch forward.  Whole-set arrays at 3 x 10^4 projects left
-# about 29 MiB of freed malloc heap that the report's Python objects could
-# not reuse (peak RSS +18 MiB); blocks of this size keep peak RSS at the
-# level of estimating one project at a time.
-_BLOCK = 2048
-
-
-def _estimates(projects: Sequence[params.SeerProject], tbl: ValueTable) -> list[float]:
+def _estimates(projects: params.ProjectSet, tbl: ValueTable) -> list[float]:
     """Every project's effort by batch forward, with the domain checks of
     :func:`seercal.engine.compute_effort`; an error names the first
     offending project."""
     efforts: list[float] = []
-    for start in range(0, len(projects), _BLOCK):
-        block = projects[start:start + _BLOCK]
+    for start in range(0, len(projects), params.BLOCK_ROWS):
+        block = projects[start:start + params.BLOCK_ROWS]
         batch = _Batch(block)
         terms = _batch_forward(batch, tbl.values)
         engine._check_domain(
             engine._effort_checks(batch.sizes, terms)
             + [("effort", terms.effort, "be finite", np.isfinite)],
-            ids=[p.id for p in block],
+            ids=block.ids,
         )
         efforts += terms.effort.tolist()
     return efforts
@@ -175,16 +172,19 @@ def evaluate_projects(
     """Estimate every project with the given table and aggregate the errors."""
     if not projects:
         raise MetricsDomainError("cannot evaluate an empty project list")
+    projects = params.ProjectSet.of(projects)
     rows = []
-    for p, est in zip(projects, _estimates(projects, tbl)):
-        re = relative_error(est, p.actual_effort)
-        rows.append(ProjectEvaluation(p.id, est, p.actual_effort, re, abs(re)))
-    pairs = [(r.estimated, r.actual) for r in rows]
+    for pid, est, actual in zip(
+        projects.ids, _estimates(projects, tbl), projects.actuals.tolist()
+    ):
+        re = relative_error(est, actual)
+        rows.append(ProjectEvaluation(pid, est, actual, re, abs(re)))
+    mres = [r.mre for r in rows]
     levels = tuple(sorted(set(float(lvl) for lvl in pred_levels)))
     return EvaluationReport(
         rows=tuple(rows),
-        mmre=mmre(pairs),
-        pred=tuple((lvl, pred(pairs, lvl)) for lvl in levels),
+        mmre=sum(mres) / len(mres),
+        pred=tuple((lvl, _pred(mres, lvl)) for lvl in levels),
         outlier_threshold=outlier_threshold,
         outlier_ids=tuple(r.id for r in rows if r.mre > outlier_threshold),
     )

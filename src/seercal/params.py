@@ -10,9 +10,12 @@ rating values share one representation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     CoordinateRangeError,
@@ -159,3 +162,74 @@ class SeerProject:
     def coordinates(self) -> list[float]:
         """Rating coordinates in registry order (length 34)."""
         return [self.ratings[s] for s in RATED_SYMBOLS]
+
+
+# Rows per block wherever whole project sets are packed, written or
+# estimated.  Whole-set temporaries at 3 x 10^4 projects (Python floats of
+# every coordinate, or batch arrays) left freed heap that later Python
+# objects could not reuse and raised peak RSS by about 18 MiB.
+BLOCK_ROWS = 2048
+
+
+class ProjectSet(Sequence):
+    """Projects as columns: ``ids`` plus arrays ``coords`` (n, 34) in
+    registry order, ``sizes``, ``sibrs``, ``actuals`` and ``weights``.
+
+    A read-only ``Sequence[SeerProject]``: indexing or iterating builds each
+    :class:`SeerProject` through its constructor, and slicing returns a
+    ``ProjectSet``.  Construction checks every row as :class:`SeerProject`
+    does; the first invalid row is rebuilt as a ``SeerProject``, which raises
+    that row's error.
+    """
+
+    def __init__(self, ids, coords, sizes, sibrs, actuals, weights):
+        self.ids = tuple(ids)
+        self.coords = np.asarray(coords, dtype=float).reshape(len(self.ids), N_RATED)
+        self.sizes, self.sibrs, self.actuals, self.weights = (
+            np.asarray(a, dtype=float).view() for a in (sizes, sibrs, actuals, weights)
+        )
+        if any(a.shape != (len(self.ids),) for a in (self.sizes, self.sibrs, self.actuals,
+                                                    self.weights)):
+            raise ValueError("every column needs one entry per id")
+        for a in (self.coords, self.sizes, self.sibrs, self.actuals, self.weights):
+            a.flags.writeable = False
+        bad = ~(
+            np.isfinite(self.sizes) & (self.sizes > 0)
+            & np.isfinite(self.actuals) & (self.actuals > 0)
+            & (self.sibrs >= 0) & (self.sibrs <= 1)
+            & np.isfinite(self.weights) & (self.weights >= 0)
+            & ((self.coords >= 1) & (self.coords <= N_LEVELS)).all(axis=1)
+        )
+        if bad.any():
+            self[int(bad.argmax())]  # raises that row's SeerProject error
+
+    @classmethod
+    def of(cls, projects: Sequence[SeerProject]) -> "ProjectSet":
+        """``projects`` itself if it is a ``ProjectSet``, else its packing."""
+        if isinstance(projects, ProjectSet):
+            return projects
+        coords = np.empty((len(projects), N_RATED))
+        for start in range(0, len(projects), BLOCK_ROWS):
+            block = projects[start:start + BLOCK_ROWS]
+            coords[start:start + len(block)] = [p.coordinates() for p in block]
+        return cls(
+            [p.id for p in projects], coords,
+            [p.size for p in projects], [p.sibr for p in projects],
+            [p.actual_effort for p in projects], [p.weight for p in projects],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProjectSet(
+                self.ids[i], self.coords[i], self.sizes[i], self.sibrs[i],
+                self.actuals[i], self.weights[i],
+            )
+        return SeerProject(
+            id=self.ids[i], size=float(self.sizes[i]),
+            actual_effort=float(self.actuals[i]), sibr=float(self.sibrs[i]),
+            ratings=dict(zip(RATED_SYMBOLS, self.coords[i].tolist())),
+            weight=float(self.weights[i]),
+        )

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seercal import params
 from seercal.dataset import (
@@ -14,10 +19,12 @@ from seercal.dataset import (
     transfer_all,
 )
 from seercal.errors import (
+    CoordinateRangeError,
     DatasetParseError,
     DatasetSchemaError,
     MappingError,
 )
+from seercal.params import SeerProject
 from seercal.synth import synthesize_projects
 
 HEADER = "id,size_kloc,actual_effort,effort_unit,source_model,ACAP,AEXP,TOOL,MODE"
@@ -243,3 +250,203 @@ def test_save_load_projects_round_trip(tmp_path, default_table, suffix):
         assert a.sibr == pytest.approx(b.sibr, rel=1e-15)
         for sym in params.RATED_SYMBOLS:
             assert a.ratings[sym] == pytest.approx(b.ratings[sym], rel=1e-15)
+
+
+# --- exact errors on adversarial input -------------------------------------
+
+PROJECT_HEADER = "id,size_sloc,actual_effort_py,sibr,weight," + ",".join(params.RATED_SYMBOLS)
+
+
+def project_row(pid="P1", size="1000.0", effort="5.0", sibr="0.0", weight="1.0", **coords):
+    cells = [pid, size, effort, sibr, weight]
+    cells += [coords.get(s, "8.0") for s in params.RATED_SYMBOLS]
+    return ",".join(cells)
+
+
+def message_of(call, *args):
+    try:
+        call(*args)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("expected an exception")
+
+
+def assert_raises_exactly(exc_type, message, call, *args):
+    with pytest.raises(exc_type) as info:
+        call(*args)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
+def test_load_projects_skips_blank_lines_and_counts_rows_read(tmp_path):
+    path = write_csv(
+        tmp_path, [project_row("P1"), "", project_row("P2"), "", project_row("P3", size="abc")],
+        header=PROJECT_HEADER,
+    )
+    # Blank lines are skipped and not counted: P3 is the third row read.
+    assert_raises_exactly(
+        DatasetParseError,
+        f"{path}: row 4: bad numeric field: {message_of(float, 'abc')}",
+        load_projects, path,
+    )
+    path = write_csv(tmp_path, [project_row("P1"), "", project_row("P2")],
+                     header=PROJECT_HEADER, name="ok.csv")
+    assert [p.id for p in load_projects(path)] == ["P1", "P2"]
+
+
+def test_load_projects_short_rows(tmp_path):
+    # Missing trailing rating cells read as Nominal ...
+    path = write_csv(tmp_path, ["P1,1000.0,5.0,0.25,2.0,3.0"], header=PROJECT_HEADER)
+    (project,) = load_projects(path)
+    assert project == SeerProject(id="P1", size=1000.0, actual_effort=5.0, sibr=0.25,
+                                  weight=2.0, ratings={"ACAP": 3.0})
+    # ... but a missing effort is a bad numeric field.
+    path = write_csv(tmp_path, [project_row("P1"), "P2,1000.0"],
+                     header=PROJECT_HEADER, name="short.csv")
+    assert_raises_exactly(
+        DatasetParseError,
+        f"{path}: row 3: bad numeric field: {message_of(float, None)}",
+        load_projects, path,
+    )
+
+
+@pytest.mark.parametrize("size", ["nan", "inf", "-inf", "0"])
+def test_load_projects_rejects_nonfinite_or_nonpositive_size(tmp_path, size):
+    path = write_csv(tmp_path, [project_row("P1"), project_row("P2", size=size)],
+                     header=PROJECT_HEADER)
+    assert_raises_exactly(
+        CoordinateRangeError,
+        f"project 'P2': size must be positive, got {float(size)!r}",
+        load_projects, path,
+    )
+
+
+def test_load_projects_rejects_coordinate_19_and_sibr_above_one(tmp_path):
+    path = write_csv(tmp_path, [project_row("P1"), project_row("P2", TEST="19")],
+                     header=PROJECT_HEADER)
+    assert_raises_exactly(
+        CoordinateRangeError, "rating coordinate 19.0 outside [1, 18]", load_projects, path,
+    )
+    path = write_csv(tmp_path, [project_row("P1", sibr="1.5")],
+                     header=PROJECT_HEADER, name="sibr.csv")
+    assert_raises_exactly(
+        CoordinateRangeError, "project 'P1': SIBR must lie in [0, 1], got 1.5",
+        load_projects, path,
+    )
+
+
+def test_load_projects_empty_cells_take_defaults(tmp_path):
+    path = write_csv(tmp_path, [project_row("P1", sibr="", weight="", ACAP="", D="3.5")],
+                     header=PROJECT_HEADER)
+    (project,) = load_projects(path)
+    assert project == SeerProject(id="P1", size=1000.0, actual_effort=5.0,
+                                  ratings={"D": 3.5})
+    assert project.ratings["ACAP"] == params.NOMINAL_COORDINATE
+    assert (project.sibr, project.weight) == (0.0, 1.0)
+    path = write_csv(tmp_path, [project_row("P1", effort="")],
+                     header=PROJECT_HEADER, name="effort.csv")
+    assert_raises_exactly(
+        DatasetParseError,
+        f"{path}: row 2: bad numeric field: {message_of(float, '')}",
+        load_projects, path,
+    )
+
+
+@pytest.mark.parametrize("range_first", [True, False])
+def test_load_projects_reports_the_first_bad_row(tmp_path, range_first):
+    # A range error in row 4 beats a non-numeric cell in row 7, and the
+    # other way round.
+    rows = [project_row(f"P{i}") for i in range(1, 8)]
+    bad_range, bad_cell = (2, 5) if range_first else (5, 2)
+    rows[bad_range] = project_row(f"P{bad_range + 1}", TOOL="19")
+    rows[bad_cell] = project_row(f"P{bad_cell + 1}", TOOL="x", weight="w")
+    path = write_csv(tmp_path, rows, header=PROJECT_HEADER)
+    if range_first:
+        expected = (CoordinateRangeError, "rating coordinate 19.0 outside [1, 18]")
+    else:
+        # The first bad cell in registry order (TOOL before weight) is named.
+        expected = (DatasetParseError,
+                    f"{path}: row 4: bad numeric field: {message_of(float, 'x')}")
+    assert_raises_exactly(*expected, load_projects, path)
+
+
+def nominal_81_record(rec_id, **fields):
+    record = full_81_record()
+    return RawProjectRecord(
+        id=rec_id, size_kloc=fields.get("size_kloc", 10.0),
+        actual_effort=fields.get("actual_effort", 5.0), effort_unit="person_years",
+        ratings=fields.get("ratings", record.ratings), source_model="COCOMO81",
+        sibr=fields.get("sibr", 0.0), weight=fields.get("weight", 1.0),
+    )
+
+
+@pytest.mark.parametrize("mapping_first", [True, False])
+def test_transfer_all_reports_the_first_failing_record(mapping_first):
+    records = [nominal_81_record(f"R{i}") for i in range(1, 7)]
+    bad_sibr, bad_label = (4, 1) if mapping_first else (2, 4)
+    records[bad_sibr] = nominal_81_record(f"R{bad_sibr + 1}", sibr=1.5)
+    ratings = dict(records[bad_label].ratings)
+    del ratings["TOOL"]
+    records[bad_label] = nominal_81_record(f"R{bad_label + 1}", ratings=ratings)
+    if mapping_first:
+        expected = (MappingError, "project 'R2': rule TOOL->TOOL references a "
+                                  "driver absent from the record")
+    else:
+        expected = (CoordinateRangeError, "project 'R3': SIBR must lie in [0, 1], got 1.5")
+    assert_raises_exactly(*expected, transfer_all, records)
+
+
+def test_transfer_all_errors_name_label_and_range():
+    ratings = {**full_81_record().ratings, "ACAP": "MEDIUM"}
+    records = [nominal_81_record("R1"), nominal_81_record("R2", ratings=ratings)]
+    assert_raises_exactly(
+        MappingError,
+        "project 'R2': rule ACAP->ACAP has no transform for label 'MEDIUM'",
+        transfer_all, records,
+    )
+    assert_raises_exactly(
+        CoordinateRangeError, "project 'R1': size must be positive, got nan",
+        transfer_all, [nominal_81_record("R1", size_kloc=float("nan"))],
+    )
+
+
+# --- round trip -------------------------------------------------------------
+
+
+def _reference_project(record):
+    """A record transferred by hand, one SeerProject at a time."""
+    mapping = builtin_mapping(record.source_model)
+    ratings = {rule.target: rule.ratings[record.ratings[rule.source]] for rule in mapping.rules}
+    return SeerProject(
+        id=record.id, size=record.size_kloc * 1000.0, actual_effort=record.actual_effort,
+        sibr=record.sibr, ratings=ratings, weight=record.weight,
+    )
+
+
+@st.composite
+def source_records(draw):
+    model = draw(st.sampled_from(["COCOMO81", "COCOMO87"]))
+    mapping = builtin_mapping(model)
+    ratings = {
+        rule.source: draw(st.sampled_from(sorted(rule.ratings))) for rule in mapping.rules
+    }
+    positive = st.floats(min_value=1e-6, max_value=1e6)
+    return RawProjectRecord(
+        id=draw(st.text(alphabet='Pp0123456789 ,"-', min_size=1, max_size=8)),
+        size_kloc=draw(positive), actual_effort=draw(positive), effort_unit="person_years",
+        ratings=ratings, source_model=model,
+        sibr=draw(st.floats(min_value=0.0, max_value=1.0)),
+        weight=draw(st.floats(min_value=0.0, max_value=1e3)),
+    )
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@given(records=st.lists(source_records(), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_transfer_save_load_round_trip_equals_one_at_a_time(suffix, records):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"projects{suffix}"
+        save_projects(transfer_all(records), path)
+        loaded = load_projects(path)
+    assert len(loaded) == len(records)
+    assert list(loaded) == [_reference_project(r) for r in records]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perturbed_table, projects
-from seercal import metrics, params
+from seercal import params
 from seercal.engine import effort_for_project
 from seercal.errors import EngineDomainError, MetricsDomainError
 from seercal.metrics import (
@@ -160,7 +160,7 @@ def test_domain_error_names_first_offending_project(block, default_table, monkey
     # APPL is zero only at level 3 and TURN only at level 5, so only projects
     # rated exactly there fail; the first of them is named, even though a
     # later one fails the earlier TURN check, in one block or in several.
-    monkeypatch.setattr(metrics, "_BLOCK", block)
+    monkeypatch.setattr(params, "BLOCK_ROWS", block)
     values = default_table.values.copy()
     values[params.RATED_COLUMN["APPL"], 2] = 0.0
     values[params.RATED_COLUMN["TURN"], 4] = 0.0

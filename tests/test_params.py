@@ -6,6 +6,7 @@ from seercal import params
 from seercal.errors import CoordinateRangeError, RatingError, UnknownParameterError
 from seercal.params import (
     RATING_LABELS,
+    ProjectSet,
     SeerProject,
     coordinate_to_rating,
     parameter,
@@ -99,17 +100,17 @@ def test_project_accepts_labels_and_numbers():
     assert p.ratings["TEST"] == 9.25
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"size": -1.0},
-        {"actual_effort": 0.0},
-        {"sibr": 1.5},
-        {"weight": -0.1},
-        {"ratings": {"ACAP": 19.0}},
-        {"ratings": {"ACAP": 0.5}},
-    ],
-)
+INVALID_FIELDS = [
+    {"size": -1.0},
+    {"actual_effort": 0.0},
+    {"sibr": 1.5},
+    {"weight": -0.1},
+    {"ratings": {"ACAP": 19.0}},
+    {"ratings": {"ACAP": 0.5}},
+]
+
+
+@pytest.mark.parametrize("kwargs", INVALID_FIELDS)
 def test_project_validation_failures(kwargs):
     base = {"id": "a", "size": 1000.0, "actual_effort": 2.0}
     base.update(kwargs)
@@ -126,3 +127,51 @@ def test_project_ratings_are_immutable():
     p = SeerProject(id="a", size=1000.0, actual_effort=2.0)
     with pytest.raises(TypeError):
         p.ratings["ACAP"] = 3.0
+
+
+def project_columns(projects):
+    return (
+        [p.id for p in projects], [p.coordinates() for p in projects],
+        [p.size for p in projects], [p.sibr for p in projects],
+        [p.actual_effort for p in projects], [p.weight for p in projects],
+    )
+
+
+def test_project_set_is_a_sequence_of_projects():
+    projects = [
+        SeerProject(id=f"p{i}", size=1000.0 * (i + 1), actual_effort=2.0 + i,
+                    sibr=i / 4, weight=float(i), ratings={"ACAP": 1.0 + i, "D": 17.5})
+        for i in range(4)
+    ]
+    packed = ProjectSet.of(projects)
+    assert ProjectSet.of(packed) is packed
+    assert len(packed) == 4
+    assert list(packed) == projects
+    assert packed[-1] == projects[-1]
+    head = packed[1:3]
+    assert isinstance(head, ProjectSet)
+    assert list(head) == projects[1:3]
+    assert head.ids == ("p1", "p2")
+    assert packed.coords.shape == (4, params.N_RATED)
+    with pytest.raises(ValueError):
+        head.sizes[0] = 1.0
+    with pytest.raises(IndexError):
+        packed[4]
+    assert len(ProjectSet.of([])) == 0
+
+
+@pytest.mark.parametrize("kwargs", INVALID_FIELDS)
+def test_project_set_raises_the_first_invalid_rows_error(kwargs):
+    # Rows 1 and 2 are invalid; row 1's SeerProject error is raised.
+    ok = {"size": 1000.0, "actual_effort": 2.0, "sibr": 0.0, "weight": 1.0, "ratings": {}}
+    with pytest.raises((CoordinateRangeError, RatingError)) as expected:
+        SeerProject(id="bad", **{**ok, **kwargs})
+    columns = project_columns([SeerProject(id=i, **ok) for i in ("ok", "bad", "worse")])
+    for name, column in zip(("size", "sibr", "actual_effort", "weight"), columns[2:]):
+        column[1] = column[2] = kwargs.get(name, column[1])
+    for symbol, value in kwargs.get("ratings", {}).items():
+        columns[1][1][params.RATED_COLUMN[symbol]] = value
+    columns[1][2][0] = float("nan")
+    with pytest.raises(type(expected.value)) as raised:
+        ProjectSet(*columns)
+    assert str(raised.value) == str(expected.value)
