@@ -87,6 +87,7 @@ def split(
         protocol = CaseProtocol.parse(protocol)
     if not projects:
         raise ProtocolError("cannot split an empty dataset")
+    projects = list(projects)  # a ProjectSet builds each SeerProject once, here
 
     if protocol.train_mre_limit is not None:
         if tbl is None:

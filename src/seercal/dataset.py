@@ -25,7 +25,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -301,12 +301,11 @@ def transfer_all(
     coords = np.full((len(records), params.N_RATED), np.nan)
     models = [r.source_model for r in records]
     for model in dict.fromkeys(models):
-        try:
-            mapping = _mapping_for(model, mappings)
-        except MappingError:
+        if model not in mappings and model in SOURCE_MODELS:
+            mappings[model] = builtin_mapping(model)
+        mapping = mappings.get(model)
+        if mapping is None or mapping.source_model != model:
             continue  # the rows stay NaN and _check_record raises below
-        if mapping.source_model != model:
-            continue
         rows = [i for i, m in enumerate(models) if m == model]
         ratings = [records[i].ratings for i in rows]
         coords[rows] = mapping.default_coordinate
@@ -329,16 +328,9 @@ def transfer_all(
     return params.ProjectSet(*columns)
 
 
-def _mapping_for(model: str, mappings: dict) -> MappingTable:
-    mapping = mappings.get(model)
-    if mapping is None:
-        mapping = mappings[model] = builtin_mapping(model)
-    return mapping
-
-
 def _check_record(record: RawProjectRecord, mappings: dict) -> None:
     """Raise the mapping error that transferring ``record`` meets, if any."""
-    mapping = _mapping_for(record.source_model, mappings)
+    mapping = mappings.get(record.source_model) or builtin_mapping(record.source_model)
     if mapping.source_model != record.source_model:
         raise MappingError(
             f"project {record.id!r}: record is {record.source_model} but the "
@@ -370,12 +362,11 @@ _EMPTY_CELL = (params.NOMINAL_COORDINATE,) * params.N_RATED + (None, None, 0.0, 
 def _rows(projects: params.ProjectSet):
     """(id, size, actual, sibr, weight, coordinates) per project, as Python
     values converted a block at a time."""
+    columns = (projects.sizes, projects.actuals, projects.sibrs, projects.weights,
+               projects.coords)
     for start in range(0, len(projects), params.BLOCK_ROWS):
-        block = projects[start:start + params.BLOCK_ROWS]
-        yield from zip(
-            block.ids, block.sizes.tolist(), block.actuals.tolist(),
-            block.sibrs.tolist(), block.weights.tolist(), block.coords.tolist(),
-        )
+        block = slice(start, start + params.BLOCK_ROWS)
+        yield from zip(projects.ids[block], *(c[block].tolist() for c in columns))
 
 
 def save_projects(projects: Sequence[params.SeerProject], path) -> None:
@@ -383,19 +374,15 @@ def save_projects(projects: Sequence[params.SeerProject], path) -> None:
     path = Path(path)
     projects = params.ProjectSet.of(projects)
     if path.suffix.lower() == ".json":
-        # The layout of json.dumps(list_of_entries, indent=2), an entry at a time.
-        with path.open("w", encoding="utf-8") as fh:
-            sep = "\n"
-            fh.write("[")
-            for pid, size, actual, sibr, weight, coords in _rows(projects):
-                entry = {
-                    "id": pid, "size_sloc": size, "actual_effort_py": actual,
-                    "sibr": sibr, "weight": weight,
-                    "ratings": dict(zip(params.RATED_SYMBOLS, coords)),
-                }
-                fh.write(sep + "  " + json.dumps(entry, indent=2).replace("\n", "\n  "))
-                sep = ",\n"
-            fh.write("\n]\n" if len(projects) else "]\n")
+        doc = [
+            {
+                "id": pid, "size_sloc": size, "actual_effort_py": actual,
+                "sibr": sibr, "weight": weight,
+                "ratings": dict(zip(params.RATED_SYMBOLS, coords)),
+            }
+            for pid, size, actual, sibr, weight, coords in _rows(projects)
+        ]
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         return
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -426,7 +413,8 @@ def load_projects(path) -> params.ProjectSet:
             for entry in doc
         ])
     ids: list = []
-    numbers = [np.empty((0, len(_NUMERIC_CELLS)))]
+    blocks = [np.empty((0, len(_NUMERIC_CELLS)))]
+    error = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -441,39 +429,24 @@ def load_projects(path) -> params.ProjectSet:
         padding = [None] * (len(header) + 1)
         cells_of = itemgetter(*(column.get(name, len(header)) for name in _NUMERIC_CELLS))
         rows = filter(None, reader)  # blank lines, as csv.DictReader skips them
-        while block := [r[:len(header)] + padding for r in islice(rows, params.BLOCK_ROWS)]:
-            block_ids = [row[column["id"]] for row in block]
-            cells = list(map(cells_of, block))
-            numbers.append(_csv_numbers(path, len(ids) + 2, block_ids, cells))
-            ids += block_ids
-    return _project_set(ids, np.concatenate(numbers))
-
-
-def _project_set(ids, numbers: np.ndarray) -> params.ProjectSet:
-    """The projects of (n, 38) numeric cells in ``_NUMERIC_CELLS`` order."""
+        while error is None and (block := list(islice(rows, params.BLOCK_ROWS))):
+            numbers = []
+            for row in block:
+                row = row[:len(header)] + padding
+                try:
+                    numbers.append([
+                        float(c) if c or empty is None else empty
+                        for c, empty in zip(cells_of(row), _EMPTY_CELL)
+                    ])
+                except (TypeError, ValueError) as exc:
+                    error = _row_error(path, len(ids) + 2, f"bad numeric field: {exc}")
+                    break
+                ids.append(row[column["id"]])
+            blocks.append(np.reshape(numbers, (-1, len(_NUMERIC_CELLS))))
+    numbers = np.concatenate(blocks)
     size, actual, sibr, weight = numbers[:, params.N_RATED:].T
-    return params.ProjectSet(ids, numbers[:, :params.N_RATED], size, sibr, actual, weight)
-
-
-def _csv_numbers(path, first_line: int, ids: list, cells: list) -> np.ndarray:
-    """The numeric cells of one block of rows, checked as projects."""
-    error = None
-    try:
-        numbers = np.fromiter(map(float, chain.from_iterable(cells)), float)
-    except (TypeError, ValueError):
-        # Empty cells or a bad one: convert row by row up to the first bad row.
-        numbers = []
-        for k, row in enumerate(cells):
-            try:
-                numbers.append([
-                    float(c) if c or empty is None else empty
-                    for c, empty in zip(row, _EMPTY_CELL)
-                ])
-            except (TypeError, ValueError) as exc:
-                error = _row_error(path, first_line + k, f"bad numeric field: {exc}")
-                break
-    numbers = np.reshape(numbers, (-1, len(_NUMERIC_CELLS)))
-    _project_set(ids[:len(numbers)], numbers)  # range errors in earlier rows win
+    # The rows before a bad one are checked first: their range errors win.
+    projects = params.ProjectSet(ids, numbers[:, :params.N_RATED], size, sibr, actual, weight)
     if error is not None:
         raise error
-    return numbers
+    return projects

@@ -34,7 +34,10 @@ def magnitude_relative_error(estimated: float, actual: float) -> float:
 
 def mmre(pairs: Iterable[tuple[float, float]]) -> float:
     """Mean magnitude of relative error over (estimated, actual) pairs."""
-    mres = [magnitude_relative_error(est, act) for est, act in pairs]
+    return _mmre([magnitude_relative_error(est, act) for est, act in pairs])
+
+
+def _mmre(mres: list[float]) -> float:
     if not mres:
         raise MetricsDomainError("MMRE needs at least one pair")
     return sum(mres) / len(mres)
@@ -183,7 +186,7 @@ def evaluate_projects(
     levels = tuple(sorted(set(float(lvl) for lvl in pred_levels)))
     return EvaluationReport(
         rows=tuple(rows),
-        mmre=sum(mres) / len(mres),
+        mmre=_mmre(mres),
         pred=tuple((lvl, _pred(mres, lvl)) for lvl in levels),
         outlier_threshold=outlier_threshold,
         outlier_ids=tuple(r.id for r in rows if r.mre > outlier_threshold),

@@ -177,16 +177,16 @@ class ProjectSet(Sequence):
 
     A read-only ``Sequence[SeerProject]``: indexing or iterating builds each
     :class:`SeerProject` through its constructor, and slicing returns a
-    ``ProjectSet``.  Construction checks every row as :class:`SeerProject`
-    does; the first invalid row is rebuilt as a ``SeerProject``, which raises
-    that row's error.
+    ``ProjectSet``.  Construction copies the columns and checks every row as
+    :class:`SeerProject` does; the first invalid row is rebuilt as a
+    ``SeerProject``, which raises that row's error.
     """
 
     def __init__(self, ids, coords, sizes, sibrs, actuals, weights):
         self.ids = tuple(ids)
-        self.coords = np.asarray(coords, dtype=float).reshape(len(self.ids), N_RATED)
+        self.coords = np.array(coords, dtype=float).reshape(len(self.ids), N_RATED)
         self.sizes, self.sibrs, self.actuals, self.weights = (
-            np.asarray(a, dtype=float).view() for a in (sizes, sibrs, actuals, weights)
+            np.array(a, dtype=float) for a in (sizes, sibrs, actuals, weights)
         )
         if any(a.shape != (len(self.ids),) for a in (self.sizes, self.sibrs, self.actuals,
                                                     self.weights)):
@@ -222,11 +222,14 @@ class ProjectSet(Sequence):
         return len(self.ids)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ProjectSet(
-                self.ids[i], self.coords[i], self.sizes[i], self.sibrs[i],
-                self.actuals[i], self.weights[i],
+        if isinstance(i, slice):  # read-only views of rows already checked
+            part = object.__new__(ProjectSet)
+            part.ids = self.ids[i]
+            part.coords, part.sizes, part.sibrs, part.actuals, part.weights = (
+                a[i] for a in (self.coords, self.sizes, self.sibrs, self.actuals,
+                               self.weights)
             )
+            return part
         return SeerProject(
             id=self.ids[i], size=float(self.sizes[i]),
             actual_effort=float(self.actuals[i]), sibr=float(self.sibrs[i]),

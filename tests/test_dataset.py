@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from seercal import params
 from seercal.dataset import (
+    COCOMO81,
+    COCOMO87,
     MappingRule,
     MappingTable,
     RawProjectRecord,
@@ -407,6 +410,21 @@ def test_transfer_all_errors_name_label_and_range():
     assert_raises_exactly(
         CoordinateRangeError, "project 'R1': size must be positive, got nan",
         transfer_all, [nominal_81_record("R1", size_kloc=float("nan"))],
+    )
+
+
+def test_transfer_all_names_an_unknown_or_unmapped_model():
+    unknown = replace(nominal_81_record("R2"), source_model="COCOMO2")
+    assert_raises_exactly(MappingError, "unknown source model 'COCOMO2'",
+                          transfer_all, [nominal_81_record("R1"), unknown])
+    assert_raises_exactly(
+        CoordinateRangeError, "project 'R1': SIBR must lie in [0, 1], got 1.5",
+        transfer_all, [nominal_81_record("R1", sibr=1.5), unknown],
+    )
+    assert_raises_exactly(
+        MappingError,
+        "project 'R1': record is COCOMO81 but the mapping covers COCOMO87",
+        transfer_all, [nominal_81_record("R1")], {COCOMO81: builtin_mapping(COCOMO87)},
     )
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -158,6 +159,17 @@ def test_project_set_is_a_sequence_of_projects():
     with pytest.raises(IndexError):
         packed[4]
     assert len(ProjectSet.of([])) == 0
+
+
+def test_project_set_copies_the_callers_arrays():
+    project = SeerProject(id="p", size=1000.0, actual_effort=2.0)
+    ids, *columns = project_columns([project])
+    columns = [np.array(c) for c in columns]
+    packed = ProjectSet(ids, *columns)
+    for column in columns:
+        assert column.flags.writeable
+        column[...] = 0.5
+    assert list(packed) == [project]
 
 
 @pytest.mark.parametrize("kwargs", INVALID_FIELDS)
