@@ -22,7 +22,6 @@ from .calibration import (
     TrainingTrace,
     enforce_monotone,
     grad_effort_wrt_value,
-    grad_loss_wrt_consequent,
     loss,
     loss_gradient,
     train,
@@ -79,8 +78,7 @@ from .table import (
 __all__ = [
     "__version__",
     "CalibrationConfig", "TrainingTrace", "enforce_monotone",
-    "grad_effort_wrt_value", "grad_loss_wrt_consequent", "loss", "loss_gradient",
-    "train",
+    "grad_effort_wrt_value", "loss", "loss_gradient", "train",
     "CaseProtocol", "CaseResult", "run_case", "split",
     "MappingRule", "MappingTable", "RawProjectRecord", "builtin_mapping",
     "load_mapping", "load_projects", "parse_dataset", "save_projects",

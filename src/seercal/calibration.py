@@ -17,7 +17,7 @@ would increase the loss, which keeps the recorded loss trace non-increasing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .engine import (
 )
 from .errors import (
     DegenerateInputError,
-    MetricsDomainError,
     TableFormatError,
     TrainingDivergedError,
 )
@@ -54,7 +53,6 @@ class CalibrationConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 500
     tolerance: float = 1e-6  # stop when relative loss decrease falls below this
-    seed: int = 0
     value_floor: float = 1e-6  # positivity floor applied after each update
     backtrack: bool = True     # halve the learning rate on loss increase
     max_halvings: int = 40
@@ -70,15 +68,7 @@ class CalibrationConfig:
             raise ValueError(f"value_floor must be positive, got {self.value_floor!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "value_floor": self.value_floor,
-            "backtrack": self.backtrack,
-            "max_halvings": self.max_halvings,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,10 +120,6 @@ def _batch_forward(batch: _Batch, values_matrix: np.ndarray) -> EffortTerms:
         return engine.effort_terms(batch.sizes, columns["D"], columns)
 
 
-def _batch_efforts(batch: _Batch, values_matrix: np.ndarray) -> np.ndarray:
-    return _batch_forward(batch, values_matrix).effort
-
-
 def _value_gradients(terms: EffortTerms) -> np.ndarray:
     """Analytic effort gradient per quantitative value, as an (n, 34) matrix.
 
@@ -172,7 +158,7 @@ def _value_gradients(terms: EffortTerms) -> np.ndarray:
 def loss(projects: Sequence[params.SeerProject], tbl: ValueTable) -> float:
     """Half the weighted sum of squared relative effort errors."""
     batch = _Batch(projects)
-    return _loss_from_efforts(batch, _batch_efforts(batch, tbl.values))
+    return _loss_from_efforts(batch, _batch_forward(batch, tbl.values).effort)
 
 
 def _loss_from_efforts(batch: _Batch, efforts: np.ndarray) -> float:
@@ -203,15 +189,6 @@ def _loss_gradient(batch: _Batch, terms: EffortTerms) -> np.ndarray:
     np.add.at(out, batch.entry_lo, contrib * (1.0 - batch.level_frac))
     np.add.at(out, batch.entry_lo + 1, contrib * batch.level_frac)
     return out.reshape(params.N_RATED, params.N_LEVELS)
-
-
-def grad_loss_wrt_consequent(
-    projects: Sequence[params.SeerProject], tbl: ValueTable, symbol: str, level: int
-) -> float:
-    """Loss gradient for one table entry (symbol, level in 1..18)."""
-    if not 1 <= level <= params.N_LEVELS:
-        raise MetricsDomainError(f"level must lie in 1..{params.N_LEVELS}, got {level}")
-    return float(loss_gradient(projects, tbl)[_col(symbol), level - 1])
 
 
 def _pava_increasing(y: np.ndarray) -> np.ndarray:

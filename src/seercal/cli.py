@@ -11,6 +11,12 @@ Every failure is a named stage error: config, YAML and OS errors become
 stderr, and the manifest records the failure with no outputs left behind.
 When the output location itself cannot be created there is no manifest.
 
+The training and evaluation settings are the keys of ``SETTINGS``.  A
+``--config`` YAML file may hold any of them, and a flag of the same name wins
+over the file.  Both go through the key's one parser in stage ``config``, so
+a bad value fails with the same message either way.  Settings left unset take
+their defaults from ``CalibrationConfig`` and ``metrics.DEFAULT_*``.
+
 All report content is deterministic for identical inputs and config; only
 the manifest carries timestamps.
 """
@@ -178,87 +184,104 @@ def _resolve_outdir(args) -> Path:
     raise SeercalError(f"no output directory: pass --outdir or set {OUTDIR_ENV}")
 
 
-CONFIG_KEYS = ("alpha", "epochs", "tolerance", "seed", "floor", "backtrack",
-               "pred_levels", "outlier_threshold")
+def _number(raw) -> float:
+    if not isinstance(raw, bool):  # YAML's true is not the number 1
+        with contextlib.suppress(TypeError, ValueError):
+            return float(raw)
+    raise ValueError(f"expected a number, got {raw!r}")
 
 
-def _load_cli_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise SeercalError(f"config file not found: {p}")
-    doc = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
-    if not isinstance(doc, dict):
-        raise SeercalError(f"{p}: config file must hold a mapping")
-    for key in doc:
-        if key not in CONFIG_KEYS:
-            raise SeercalError(f"unknown key {key!r}")
-    return doc
-
-
-def _number(key: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise SeercalError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _integer(key: str, raw) -> int:
+def _whole(raw) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    value = _number(key, raw)
+    value = _number(raw)
     if not value.is_integer():
-        raise SeercalError(f"{key}: expected a whole number, got {raw!r}")
+        raise ValueError(f"expected a whole number, got {raw!r}")
     return int(value)
 
 
-def _calibration_config(args, file_config: dict) -> CalibrationConfig:
-    """Defaults < config file < explicit flags (flags win); file values are
-    checked even where a flag overrides them."""
-    def pick(flag_value, key, default, kind=_number):
-        value = kind(key, file_config.get(key, default))
-        return value if flag_value is None else kind(key, flag_value)
-
-    backtrack = file_config.get("backtrack", True)
-    if not isinstance(backtrack, bool):
-        raise SeercalError(f"backtrack: expected true or false, got {backtrack!r}")
-    return CalibrationConfig(
-        learning_rate=pick(args.alpha, "alpha", 1e-3),
-        max_epochs=pick(args.epochs, "epochs", 500, _integer),
-        tolerance=pick(args.tolerance, "tolerance", 1e-6),
-        seed=pick(args.seed, "seed", 0, _integer),
-        value_floor=pick(args.floor, "floor", 1e-6),
-        backtrack=not args.no_backtrack if args.no_backtrack is not None else backtrack,
-    )
+def _boolean(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw
 
 
-def _pred_levels(raw) -> tuple[float, ...]:
-    """PRED levels given in percent (comma-separated text or a list) as
-    fractions; each must be a non-negative number."""
-    if raw is None:
-        return DEFAULT_PRED_LEVELS
+def _percent(raw) -> float:
+    """A non-negative percentage, as a fraction."""
+    value = _number(raw)
+    if not value >= 0:
+        raise ValueError(f"must be non-negative, got {raw!r}")
+    return value / 100.0
+
+
+def _percents(raw) -> tuple[float, ...]:
+    """Percentages as comma-separated text or a list, as fractions."""
     tokens = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(tokens, list):
-        raise SeercalError(f"pred_levels: expected a list of percentages, got {raw!r}")
-    levels = tuple(_number("pred_levels", tok) for tok in tokens)
-    if not all(level >= 0 for level in levels):
-        raise SeercalError(f"pred_levels: levels must be non-negative, got {raw!r}")
-    return tuple(level / 100.0 for level in levels)
+        raise ValueError(f"expected a list of percentages, got {raw!r}")
+    return tuple(_percent(token) for token in tokens)
 
 
-def _evaluation_knobs(args, file_config: dict) -> tuple[tuple[float, ...], float]:
-    levels = _pred_levels(args.pred_levels or file_config.get("pred_levels"))
-    raw_threshold = (
-        args.outlier_threshold
-        if args.outlier_threshold is not None
-        else file_config.get("outlier_threshold")
-    )
-    threshold = (
-        DEFAULT_OUTLIER_THRESHOLD if raw_threshold is None
-        else _number("outlier_threshold", raw_threshold) / 100.0
-    )
-    return levels, threshold
+# Every setting a ``--config`` file may hold: its parser, and the
+# CalibrationConfig field it sets (None for the evaluation settings).  The
+# flag of the same name (``--pred-levels`` for ``pred_levels``, and
+# ``--no-backtrack``) gives the raw value to the same parser.
+SETTINGS: dict[str, tuple[Callable[[object], object], str | None]] = {
+    "alpha": (_number, "learning_rate"),
+    "epochs": (_whole, "max_epochs"),
+    "tolerance": (_number, "tolerance"),
+    "floor": (_number, "value_floor"),
+    "backtrack": (_boolean, "backtrack"),
+    "pred_levels": (_percents, None),
+    "outlier_threshold": (_percent, None),
+}
+
+
+def _settings(args) -> dict:
+    """The parsed settings of the ``--config`` file and the flags; flags win,
+    and every file value is checked, also where a flag overrides it."""
+    given: dict = {}
+    if args.config:
+        path = Path(args.config)
+        if not path.exists():
+            raise SeercalError(f"config file not found: {path}")
+        given = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        if not isinstance(given, dict):
+            raise SeercalError(f"{path}: config file must hold a mapping")
+        for key in given:
+            if key not in SETTINGS:
+                raise SeercalError(f"unknown key {key!r}")
+    flags = {key: getattr(args, key) for key in SETTINGS
+             if getattr(args, key, None) is not None}
+    settings = {}
+    for source in (given, flags):
+        for key, raw in source.items():
+            try:
+                settings[key] = SETTINGS[key][0](raw)
+            except ValueError as exc:
+                raise SeercalError(f"{key}: {exc}") from None
+    return settings
+
+
+def _calibration_config(settings: dict) -> CalibrationConfig:
+    """CalibrationConfig's defaults under the given settings."""
+    return CalibrationConfig(**{
+        SETTINGS[key][1]: value for key, value in settings.items() if SETTINGS[key][1]
+    })
+
+
+def _calibrated_table_text(trace: TrainingTrace, config: CalibrationConfig,
+                           **extra) -> str:
+    meta = {
+        "generated_by": f"seercal {__version__}",
+        "config": config.to_dict(),
+        **extra,
+        "epochs_run": trace.epochs_run,
+        "initial_loss": trace.initial_loss,
+        "final_loss": trace.final_loss,
+        "stop_reason": trace.stop_reason,
+    }
+    return table_text(trace.table, meta=meta)
 
 
 def _report_csv(report: EvaluationReport) -> str:
@@ -390,21 +413,13 @@ def cmd_calibrate(args) -> int:
     inputs = {"projects": args.projects, "table": args.table}
     outdir = _stage("config", _resolve_outdir, args)
     with _RunWriter("calibrate", outdir, inputs) as run:
-        file_config = _stage("config", _load_cli_config, args.config)
-        config = _stage("config", _calibration_config, args, file_config)
+        settings = _stage("config", _settings, args)
+        config = _stage("config", _calibration_config, settings)
         run.config = config.to_dict()
         tbl = _stage("load-table", _load_table_arg, args.table)
         projects = _stage("load-projects", load_projects, args.projects)
         trace = _stage("train", train, projects, tbl, config)
-        meta = {
-            "generated_by": f"seercal {__version__}",
-            "config": config.to_dict(),
-            "epochs_run": trace.epochs_run,
-            "initial_loss": trace.initial_loss,
-            "final_loss": trace.final_loss,
-            "stop_reason": trace.stop_reason,
-        }
-        run.add("calibrated_table.yaml", table_text(trace.table, meta=meta))
+        run.add("calibrated_table.yaml", _calibrated_table_text(trace, config))
         run.add("trace.csv", _trace_csv(trace))
     print(
         f"calibrated in {trace.epochs_run} epoch(s); loss "
@@ -417,8 +432,9 @@ def cmd_evaluate(args) -> int:
     inputs = {"projects": args.projects, "table": args.table}
     outdir = _stage("config", _resolve_outdir, args)
     with _RunWriter("evaluate", outdir, inputs) as run:
-        file_config = _stage("config", _load_cli_config, args.config)
-        levels, threshold = _stage("config", _evaluation_knobs, args, file_config)
+        settings = _stage("config", _settings, args)
+        levels = settings.get("pred_levels", DEFAULT_PRED_LEVELS)
+        threshold = settings.get("outlier_threshold", DEFAULT_OUTLIER_THRESHOLD)
         run.config = {"pred_levels": list(levels), "outlier_threshold": threshold}
         tbl = _stage("load-table", _load_table_arg, args.table)
         projects = _stage("load-projects", load_projects, args.projects)
@@ -439,9 +455,10 @@ def cmd_case(args) -> int:
     }
     outdir = _stage("config", _resolve_outdir, args)
     with _RunWriter("case", outdir, inputs) as run:
-        file_config = _stage("config", _load_cli_config, args.config)
-        config = _stage("config", _calibration_config, args, file_config)
-        levels, threshold = _stage("config", _evaluation_knobs, args, file_config)
+        settings = _stage("config", _settings, args)
+        config = _stage("config", _calibration_config, settings)
+        levels = settings.get("pred_levels", DEFAULT_PRED_LEVELS)
+        threshold = settings.get("outlier_threshold", DEFAULT_OUTLIER_THRESHOLD)
         run.config = {**config.to_dict(), "pred_levels": list(levels),
                       "outlier_threshold": threshold, "protocol": args.protocol}
         protocol = _stage("protocol", CaseProtocol.parse, args.protocol)
@@ -468,16 +485,8 @@ def cmd_case(args) -> int:
         if result.industrial_baseline is not None:
             run.add("industrial_baseline.csv", _report_csv(result.industrial_baseline))
             run.add("industrial_calibrated.csv", _report_csv(result.industrial_calibrated))
-        meta = {
-            "generated_by": f"seercal {__version__}",
-            "config": config.to_dict(),
-            "protocol": result.protocol,
-            "epochs_run": result.trace.epochs_run,
-            "initial_loss": result.trace.initial_loss,
-            "final_loss": result.trace.final_loss,
-            "stop_reason": result.trace.stop_reason,
-        }
-        run.add("calibrated_table.yaml", table_text(result.table, meta=meta))
+        run.add("calibrated_table.yaml",
+                _calibrated_table_text(result.trace, config, protocol=result.protocol))
     print(render_case_text(result))
     return EXIT_OK
 
@@ -528,23 +537,22 @@ def _add_table_arg(p):
 
 
 def _add_calibration_args(p):
-    p.add_argument("--alpha", type=float, default=None, help="learning rate")
-    p.add_argument("--epochs", type=int, default=None, help="maximum training epochs")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="stop when relative loss decrease falls below this")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--floor", type=float, default=None, help="positivity floor")
-    p.add_argument("--no-backtrack", action="store_true", default=None,
+    p.add_argument("--alpha", help="learning rate")
+    p.add_argument("--epochs", help="maximum training epochs")
+    p.add_argument("--tolerance", help="stop when relative loss decrease falls below this")
+    p.add_argument("--floor", help="positivity floor")
+    p.add_argument("--no-backtrack", dest="backtrack", action="store_false", default=None,
                    help="disable automatic learning-rate halving")
     p.add_argument("--config", default=None,
                    help="YAML config file; explicit flags win over file values")
 
 
 def _add_evaluation_args(p):
-    p.add_argument("--pred-levels", default=None,
-                   help="comma-separated PRED levels in percent (default 20,30,50,100)")
-    p.add_argument("--outlier-threshold", type=float, default=None,
-                   help="outlier MRE threshold in percent (default 50)")
+    levels = ",".join(f"{100 * level:g}" for level in DEFAULT_PRED_LEVELS)
+    p.add_argument("--pred-levels",
+                   help=f"comma-separated PRED levels in percent (default {levels})")
+    p.add_argument("--outlier-threshold", help="outlier MRE threshold in percent "
+                   f"(default {100 * DEFAULT_OUTLIER_THRESHOLD:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:

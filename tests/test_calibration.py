@@ -1,17 +1,19 @@
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perturbed_table
+from conftest import projects as project_strategy
 from seercal import calibration, params
 from seercal.calibration import (
     CalibrationConfig,
     enforce_monotone,
     grad_effort_wrt_value,
-    grad_loss_wrt_consequent,
     loss,
     loss_gradient,
     train,
@@ -170,8 +172,9 @@ def test_loss_gradient_zero_when_no_membership(default_table):
     nominal = SeerProject(
         id=p.id, size=p.size, actual_effort=p.actual_effort, sibr=p.sibr,
     )
-    assert grad_loss_wrt_consequent([nominal], default_table, "TEST", 3) == 0.0
-    assert grad_loss_wrt_consequent([nominal], default_table, "TEST", 8) != 0.0
+    grad = loss_gradient([nominal], default_table)
+    assert grad[params.RATED_COLUMN["TEST"], 3 - 1] == 0.0
+    assert grad[params.RATED_COLUMN["TEST"], 8 - 1] != 0.0
 
 
 def test_loss_gradient_zero_at_zero_residual(default_table):
@@ -190,15 +193,6 @@ def test_loss_gradient_matches_finite_differences(default_table):
         level = int(rng.integers(0, params.N_LEVELS))
         fd = fd_loss_gradient(projects, default_table, col, level)
         assert_gradient_close(analytic[col, level], fd)
-
-
-def test_grad_loss_wrt_consequent_slices_matrix(default_table):
-    projects = residual_projects(default_table, n=2, seed=11)
-    full = loss_gradient(projects, default_table)
-    col = params.RATED_COLUMN["QUAL"]
-    assert grad_loss_wrt_consequent(projects, default_table, "QUAL", 9) == pytest.approx(
-        full[col, 8], rel=1e-15
-    )
 
 
 # --- monotone projection ----------------------------------------------------
@@ -392,6 +386,37 @@ def test_backtracking_rescues_large_alpha(default_table):
     losses = [trace.initial_loss] + trace.losses
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
     assert validate_table(trace.table) == []
+
+
+@given(
+    batch=st.lists(
+        st.builds(
+            lambda p, actual: dataclasses.replace(p, actual_effort=actual),
+            project_strategy, st.floats(min_value=1e-3, max_value=1e9),
+        ),
+        min_size=1, max_size=8,
+    ),
+    seed=st.integers(min_value=0, max_value=100),
+    psys_zero_levels=st.sets(st.integers(min_value=0, max_value=17), max_size=2),
+    alpha=st.sampled_from([1.0, 1e3, 1e9]),
+)
+@settings(max_examples=30, deadline=None)
+def test_training_keeps_table_valid_and_loss_non_increasing(
+    batch, seed, psys_zero_levels, alpha
+):
+    tbl = perturbed_table(seed, psys_zero_levels)
+    config = CalibrationConfig(learning_rate=alpha, max_epochs=10, tolerance=0.0)
+    if psys_zero_levels:  # PSYS = 0 breaks positivity: no training starts
+        with pytest.raises(TableFormatError):
+            train(batch, tbl, config)
+        return
+    try:
+        trace = train(batch, tbl, config)
+    except TrainingDivergedError as exc:
+        trace = exc.trace
+    assert validate_table(trace.table) == []
+    losses = [trace.initial_loss] + trace.losses
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
 def test_config_validation():

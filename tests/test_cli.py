@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
 from conftest import demo_dataset_rows
-from seercal import params
+from seercal import cli, params
 from seercal.cli import main
 from seercal.dataset import save_projects
 from seercal.synth import synthesize_projects
@@ -299,8 +300,7 @@ def test_case_failure_leaves_no_partial_reports(table_path, tmp_path):
 def test_case_rerun_is_byte_identical(dataset_path, table_path, tmp_path):
     args = [
         "case", "--dataset", str(dataset_path), "--table", str(table_path),
-        "--protocol", "c2", "--alpha", "0.02", "--epochs", "6", "--seed", "3",
-        "--tolerance", "0",
+        "--protocol", "c2", "--alpha", "0.02", "--epochs", "6", "--tolerance", "0",
     ]
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -371,6 +371,15 @@ FAILURES = {
     "non-boolean-config-backtrack": (
         CASE_RUN + " --outdir {out} --config {string_backtrack}", "config",
         "{out}/manifest.json"),
+    "non-integral-epochs-flag": (CASE_RUN + " --outdir {out} --epochs 2.5", "config",
+                                 "{out}/manifest.json"),
+    "non-numeric-alpha-flag": (CASE_RUN + " --outdir {out} --alpha abc", "config",
+                               "{out}/manifest.json"),
+    "bad-config-value-under-a-flag": (
+        CASE_RUN + " --outdir {out} --config {bad_pred_levels} --pred-levels 20",
+        "config", "{out}/manifest.json"),
+    "negative-outlier-threshold": (CASE_RUN + " --outdir {out} --outlier-threshold -5",
+                                   "config", "{out}/manifest.json"),
     "case-outdir-under-a-file": (CASE_RUN + " --outdir {blocker}/x", "write", None),
     "transfer-out-under-a-file": ("transfer --dataset {dataset} --out {blocker}/x/p.csv",
                                   "write", None),
@@ -401,6 +410,7 @@ def test_failures_name_their_stage_and_leave_a_failed_manifest(
         "broken_yaml": inputs / "broken.yaml", "bad_tolerance": inputs / "tolerance.yaml",
         "not_report": inputs / "not_report.json", "typo_key": inputs / "typo.yaml",
         "half_epochs": inputs / "epochs.yaml", "string_backtrack": inputs / "backtrack.yaml",
+        "bad_pred_levels": inputs / "pred_levels.yaml",
     }
     paths["blocker"].write_text("a file, not a directory\n")
     paths["broken_yaml"].write_text("alpha: [0.1, 0.2\n")
@@ -409,6 +419,7 @@ def test_failures_name_their_stage_and_leave_a_failed_manifest(
     paths["typo_key"].write_text("alhpa: 0.1\n")
     paths["half_epochs"].write_text("epochs: 2.5\n")
     paths["string_backtrack"].write_text('backtrack: "no"\n')
+    paths["bad_pred_levels"].write_text("pred_levels: [x]\n")
     paths["occupied"] = paths["out"]
     if "{occupied}" in template:
         (paths["out"] / "calibrated_table.yaml").mkdir(parents=True)
@@ -435,7 +446,8 @@ def test_failures_name_their_stage_and_leave_a_failed_manifest(
     [
         ("alhpa: 0.1\n", "error: config: unknown key 'alhpa'"),
         ("epochs: 2.5\n", "error: config: epochs: expected a whole number, got 2.5"),
-        ("seed: 1.5\n", "error: config: seed: expected a whole number, got 1.5"),
+        ("tolerance: yes\n", "error: config: tolerance: expected a number, got True"),
+        ("seed: 1\n", "error: config: unknown key 'seed'"),
         ('backtrack: "no"\n', "error: config: backtrack: expected true or false, got 'no'"),
     ],
 )
@@ -447,3 +459,49 @@ def test_config_file_errors_name_the_key(text, message, tmp_path, capsys):
                    "--outdir", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err.strip() == message
+
+
+# Per setting: one bad value as flag text, and flag arguments that give a good
+# value.  In a --config file the bad value is the same text as a YAML string.
+BAD_SETTINGS = {
+    "alpha": ("abc", ["--alpha", "0.01"]),
+    "epochs": ("2.5", ["--epochs", "1"]),
+    "tolerance": ("abc", ["--tolerance", "0"]),
+    "floor": ("abc", ["--floor", "1e-6"]),
+    "backtrack": ("no", ["--no-backtrack"]),
+    "pred_levels": ("20,x", ["--pred-levels", "20"]),
+    "outlier_threshold": ("-5", ["--outlier-threshold", "50"]),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_a_bad_setting_fails_alike_as_flag_and_in_config(
+    key, dataset_path, tmp_path, capsys
+):
+    bad, good_flag = BAD_SETTINGS[key]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({key: bad}))
+    runs = {
+        "file": ["--config", str(config)],
+        "file-under-a-flag": ["--config", str(config), *good_flag],
+    }
+    if key != "backtrack":  # --no-backtrack carries no value
+        runs["flag"] = [good_flag[0], bad]
+    messages = set()
+    for name, extra in runs.items():
+        out = tmp_path / name
+        code = run_cli("case", "--dataset", str(dataset_path), "--table", "synthetic",
+                       "--protocol", "c2", "--outdir", str(out), *extra)
+        assert code == 2, name
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config: {key}: "), err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], "error: " + manifest["error"]) == ("failed", err)
+        messages.add(err)
+    assert len(messages) == 1
+
+
+def test_readme_lists_every_setting():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("- a `--config file.yaml` may hold the settings", 1)[1]
+    assert re.findall(r"`(\w+)`", bullet.split(";", 1)[0]) == list(cli.SETTINGS)

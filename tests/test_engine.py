@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import compensated_values, engine_values, perturbed_table, projects
 from seercal import params
-from seercal.calibration import _Batch, _batch_efforts
+from seercal.calibration import _Batch, _batch_forward
 from seercal.engine import (
     ADJUSTMENT_SINGLES,
     compute_combined,
@@ -301,7 +301,7 @@ def test_effort_domain_errors(kwargs):
 @settings(max_examples=60, deadline=None)
 def test_scalar_wrappers_equal_batch_forward_exactly(batch, seed, psys_zero_levels):
     tbl = perturbed_table(seed, psys_zero_levels)
-    efforts = _batch_efforts(_Batch(batch), tbl.values)
+    efforts = _batch_forward(_Batch(batch), tbl.values).effort
     matrix = translate_matrix(np.array([p.coordinates() for p in batch]), tbl)
     for i, p in enumerate(batch):
         assert effort_for_project(p, tbl).effort == efforts[i]
