@@ -21,7 +21,6 @@ from .calibration import (
     CalibrationConfig,
     TrainingTrace,
     enforce_monotone,
-    grad_effort_wrt_value,
     loss,
     loss_gradient,
     train,
@@ -78,7 +77,7 @@ from .table import (
 __all__ = [
     "__version__",
     "CalibrationConfig", "TrainingTrace", "enforce_monotone",
-    "grad_effort_wrt_value", "loss", "loss_gradient", "train",
+    "loss", "loss_gradient", "train",
     "CaseProtocol", "CaseResult", "run_case", "split",
     "MappingRule", "MappingTable", "RawProjectRecord", "builtin_mapping",
     "load_mapping", "load_projects", "parse_dataset", "save_projects",

@@ -4,8 +4,11 @@ The loss is half the weighted sum of squared relative effort errors.  Loss
 and gradient share one forward, :func:`seercal.engine.effort_terms`; the
 backward pass reads its cached intermediates and chains an analytic effort
 gradient per quantitative value through the membership grade linking each
-value to its two active table entries.  The update is plain full-batch
-descent followed by a positivity floor and a least-squares monotone repair
+value to its two active table entries.  One ``np.bincount`` scatters those
+contributions into the table, adding them per entry in the order of two
+successive unbuffered scatters (all lower levels, then all upper levels),
+so the gradient keeps its bits.  The update is plain full-batch descent
+followed by a positivity floor and a least-squares monotone repair
 (pool-adjacent-violators) of every row, so the returned table always
 satisfies the declared directions.
 
@@ -101,8 +104,13 @@ class _Batch:
             raise DegenerateInputError("project list is empty")
         self.sizes, self.sibrs = projects.sizes, projects.sibrs
         self.actuals, self.weights = projects.actuals, projects.weights
-        # Flat table index of the lower active level, and upper-level weight.
-        self.entry_lo, self.level_frac = membership_weights(projects.coords)
+        # Flat table indices of the lower and the upper active level, and the
+        # upper-level weight.
+        entry_lo, self.level_frac = membership_weights(projects.coords)
+        self.entries = np.empty((2, *entry_lo.shape), dtype=np.intp)
+        self.entries[0] = entry_lo
+        np.add(entry_lo, 1, out=self.entries[1])
+        self.entry_lo = self.entries[0]
 
     def bank_values(self, values_matrix: np.ndarray) -> np.ndarray:
         return interpolate(values_matrix, self.entry_lo, self.level_frac)
@@ -120,8 +128,10 @@ def _batch_forward(batch: _Batch, values_matrix: np.ndarray) -> EffortTerms:
         return engine.effort_terms(batch.sizes, columns["D"], columns)
 
 
-def _value_gradients(terms: EffortTerms) -> np.ndarray:
+def _value_gradients(terms: EffortTerms, out: np.ndarray | None = None) -> np.ndarray:
     """Analytic effort gradient per quantitative value, as an (n, 34) matrix.
+
+    Written into ``out`` when given.
 
     Closed forms per factor family, all sharing the evaluated effort E:
 
@@ -133,7 +143,7 @@ def _value_gradients(terms: EffortTerms) -> np.ndarray:
       combination formula's partial derivative.
     """
     v, efforts, turn = terms.values, terms.effort, terms.values["TURN"]
-    grads = np.empty((len(efforts), params.N_RATED))
+    grads = np.empty((len(efforts), params.N_RATED)) if out is None else out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ctbx_sens = SIZE_EXPONENT * TECH_EXP_COEFF / (TURN_DAMPING * turn)
         for sym in CTBX_SINGLES:
@@ -167,14 +177,6 @@ def _loss_from_efforts(batch: _Batch, efforts: np.ndarray) -> float:
         return float(0.5 * np.sum(batch.weights * rel**2))
 
 
-def grad_effort_wrt_value(
-    project: params.SeerProject, tbl: ValueTable, symbol: str
-) -> float:
-    """Analytic sensitivity of one project's effort to one quantitative value."""
-    grads = _value_gradients(_batch_forward(_Batch([project]), tbl.values))
-    return float(grads[0, _col(symbol)])
-
-
 def loss_gradient(projects: Sequence[params.SeerProject], tbl: ValueTable) -> np.ndarray:
     """Full (34, 18) gradient of the loss w.r.t. every table entry."""
     batch = _Batch(projects)
@@ -182,12 +184,25 @@ def loss_gradient(projects: Sequence[params.SeerProject], tbl: ValueTable) -> np
 
 
 def _loss_gradient(batch: _Batch, terms: EffortTerms) -> np.ndarray:
-    """Backward pass of the loss on a cached forward of ``batch``."""
+    """Backward pass of the loss on a cached forward of ``batch``.
+
+    ``w[0]`` and ``w[1]`` hold each value's contribution to its lower and
+    upper table entry.  One ``bincount`` over ``batch.entries`` adds, per
+    entry, all lower-level contributions in project order and then all
+    upper-level ones: the order of two successive unbuffered scatters, so
+    the sums keep their bits.
+    """
     coef = batch.weights * (terms.effort - batch.actuals) / batch.actuals**2
-    contrib = coef[:, None] * _value_gradients(terms)
-    out = np.zeros(params.N_RATED * params.N_LEVELS)
-    np.add.at(out, batch.entry_lo, contrib * (1.0 - batch.level_frac))
-    np.add.at(out, batch.entry_lo + 1, contrib * batch.level_frac)
+    w = np.empty((2, *batch.level_frac.shape))
+    _value_gradients(terms, out=w[1])
+    w[1] *= coef[:, None]
+    np.subtract(1.0, batch.level_frac, out=w[0])
+    w[0] *= w[1]
+    w[1] *= batch.level_frac
+    out = np.bincount(
+        batch.entries.reshape(-1), w.reshape(-1),
+        minlength=params.N_RATED * params.N_LEVELS,
+    )
     return out.reshape(params.N_RATED, params.N_LEVELS)
 
 
@@ -288,6 +303,9 @@ def train(
     stop_reason = "max_epochs"
     for _epoch in range(config.max_epochs):
         grad = _loss_gradient(batch, terms)
+        # The gradient is the epoch-start forward's last use: free its
+        # cache before the candidate forwards allocate theirs.
+        del terms
         stalled = False
         while True:
             candidate = current - alpha * grad

@@ -256,8 +256,11 @@ def _settings(args) -> dict:
     settings = {}
     for source in (given, flags):
         for key, raw in source.items():
+            parse, field_name = SETTINGS[key]
             try:
-                settings[key] = SETTINGS[key][0](raw)
+                settings[key] = parse(raw)
+                if field_name:  # CalibrationConfig checks the value's range
+                    CalibrationConfig(**{field_name: settings[key]})
             except ValueError as exc:
                 raise SeercalError(f"{key}: {exc}") from None
     return settings

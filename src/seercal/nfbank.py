@@ -118,5 +118,10 @@ def membership_weights(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interpolate(values: np.ndarray, entry: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Bank outputs of a (34, 18) table at the active entries of :func:`membership_weights`."""
-    return np.take(values, entry) * (1.0 - frac) + np.take(values, entry + 1) * frac
+    """Bank outputs of a (34, 18) table at the active entries of :func:`membership_weights`.
+
+    The upper level is read through the table shifted by one entry, so no
+    ``entry + 1`` index is built.
+    """
+    flat = values.reshape(-1)
+    return np.take(flat, entry) * (1.0 - frac) + np.take(flat[1:], entry) * frac

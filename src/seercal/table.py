@@ -96,20 +96,23 @@ class ValueTable:
             ) from None
 
 
+_ENTRY_REQUIREMENTS = {"positivity": "positive", "finiteness": "finite"}
+
+
 @dataclass(frozen=True)
 class Violation:
     """One invariant breach found by :func:`validate_table`."""
 
     symbol: str
-    kind: str  # "positivity" | "monotonicity"
+    kind: str  # "positivity" | "finiteness" | "monotonicity"
     levels: tuple[int, ...]
     offending: tuple[float, ...]
 
     def __str__(self):
-        if self.kind == "positivity":
+        if self.kind in _ENTRY_REQUIREMENTS:
             return (
                 f"{self.symbol}: value at level {self.levels[0]} must be "
-                f"positive, got {self.offending[0]}"
+                f"{_ENTRY_REQUIREMENTS[self.kind]}, got {self.offending[0]}"
             )
         lo, hi = self.levels
         a, b = self.offending
@@ -120,7 +123,8 @@ class Violation:
 
 
 def validate_table(tbl: ValueTable) -> list[Violation]:
-    """Scan every row for positivity and declared-direction monotonicity.
+    """Scan every row for positive, finite entries and declared-direction
+    monotonicity.
 
     Returns an empty list iff all invariants hold.  Monotonicity is
     non-strict (plateaus are allowed).
@@ -132,6 +136,8 @@ def validate_table(tbl: ValueTable) -> list[Violation]:
         for r in range(params.N_LEVELS):
             if not row[r] > 0:
                 out.append(Violation(sym, "positivity", (r + 1,), (float(row[r]),)))
+            elif row[r] == np.inf:
+                out.append(Violation(sym, "finiteness", (r + 1,), (float(row[r]),)))
         for r in range(params.N_LEVELS - 1):
             a, b = float(row[r]), float(row[r + 1])
             bad = b < a if direction == INCREASING else b > a

@@ -13,7 +13,6 @@ from seercal import calibration, params
 from seercal.calibration import (
     CalibrationConfig,
     enforce_monotone,
-    grad_effort_wrt_value,
     loss,
     loss_gradient,
     train,
@@ -24,7 +23,7 @@ from seercal.errors import (
     TableFormatError,
     TrainingDivergedError,
 )
-from seercal.nfbank import bank_translate
+from seercal.nfbank import bank_translate, membership_weights, translate_matrix
 from seercal.params import SeerProject
 from seercal.synth import perturb_table, synthesize_projects
 from seercal.table import DECREASING, INCREASING, synthetic_table, validate_table
@@ -52,6 +51,12 @@ def fd_effort_gradient(project, tbl, symbol, step=1e-6):
     e_up = compute_effort(project.size, up["D"], up, project.sibr).effort
     e_down = compute_effort(project.size, down["D"], down, project.sibr).effort
     return (e_up - e_down) / (2 * h)
+
+
+def effort_gradient(project, tbl, symbol):
+    """Analytic effort gradient of one project w.r.t. one quantitative value."""
+    terms = calibration._batch_forward(calibration._Batch([project]), tbl.values)
+    return float(calibration._value_gradients(terms)[0, params.RATED_COLUMN[symbol]])
 
 
 def assert_gradient_close(analytic, fd, rel=1e-5, abs_tol=1e-8):
@@ -123,7 +128,7 @@ def test_effort_gradient_plain_factor_closed_form(default_table):
     p = residual_projects(default_table, n=1, seed=4)[0]
     values = bank_translate(p, default_table)
     effort = effort_for_project(p, default_table).effort
-    got = grad_effort_wrt_value(p, default_table, "TEST")
+    got = effort_gradient(p, default_table, "TEST")
     assert got == pytest.approx(1.2 * effort / values["TEST"], rel=1e-12)
     assert_gradient_close(got, fd_effort_gradient(p, default_table, "TEST"))
 
@@ -132,14 +137,14 @@ def test_effort_gradient_staffing_complexity(default_table):
     p = residual_projects(default_table, n=1, seed=5)[0]
     values = bank_translate(p, default_table)
     effort = effort_for_project(p, default_table).effort
-    got = grad_effort_wrt_value(p, default_table, "D")
+    got = effort_gradient(p, default_table, "D")
     assert got == pytest.approx(0.4 * effort / values["D"], rel=1e-12)
     assert_gradient_close(got, fd_effort_gradient(p, default_table, "D"))
 
 
 def test_effort_gradient_reus_inert_when_sibr_zero(default_table):
     p = SeerProject(id="p", size=20_000.0, actual_effort=5.0, sibr=0.0)
-    assert grad_effort_wrt_value(p, default_table, "REUS") == 0.0
+    assert effort_gradient(p, default_table, "REUS") == 0.0
 
 
 def test_effort_gradients_match_finite_differences_everywhere(default_table):
@@ -155,7 +160,7 @@ def test_effort_gradients_match_finite_differences_everywhere(default_table):
         effort = effort_for_project(p, default_table).effort
         floor = 1e-8 * max(1.0, effort)
         for sym in params.RATED_SYMBOLS:
-            got = grad_effort_wrt_value(p, default_table, sym)
+            got = effort_gradient(p, default_table, sym)
             fd = fd_effort_gradient(p, default_table, sym)
             if abs(fd) < 1e-3 * max(1.0, effort / 50.0):
                 assert got == pytest.approx(fd, abs=floor)
@@ -193,6 +198,66 @@ def test_loss_gradient_matches_finite_differences(default_table):
         level = int(rng.integers(0, params.N_LEVELS))
         fd = fd_loss_gradient(projects, default_table, col, level)
         assert_gradient_close(analytic[col, level], fd)
+
+
+def reference_loss_gradient(batch, terms):
+    """The loss gradient scattered by two unbuffered ``np.add.at`` calls,
+    lower levels first: the summation order ``_loss_gradient`` keeps."""
+    coef = batch.weights * (terms.effort - batch.actuals) / batch.actuals**2
+    contrib = coef[:, None] * calibration._value_gradients(terms)
+    out = np.zeros(params.N_RATED * params.N_LEVELS)
+    np.add.at(out, batch.entry_lo, contrib * (1.0 - batch.level_frac))
+    np.add.at(out, batch.entry_lo + 1, contrib * batch.level_frac)
+    return out.reshape(params.N_RATED, params.N_LEVELS)
+
+
+def assert_scatter_matches_reference(projects, tbl):
+    """Bank values and loss gradient of ``_Batch`` equal, bit for bit, the
+    bank through explicit ``entry + 1`` indices and the ``np.add.at``
+    reference."""
+    batch = calibration._Batch(projects)
+    coords = np.array([p.coordinates() for p in projects])
+    entry, frac = membership_weights(coords)
+    bank = np.take(tbl.values, entry) * (1.0 - frac) + np.take(tbl.values, entry + 1) * frac
+    assert np.array_equal(batch.bank_values(tbl.values), bank)
+    assert np.array_equal(translate_matrix(coords, tbl), bank)
+    terms = calibration._batch_forward(batch, tbl.values)
+    assert np.array_equal(
+        calibration._loss_gradient(batch, terms),
+        reference_loss_gradient(batch, terms),
+        equal_nan=True,
+    )
+
+
+@given(
+    # (project, actual effort, weight, copies): coordinates at 1, 18 and the
+    # integer kinks, zero weights, and repeated identical projects
+    rows=st.lists(
+        st.tuples(
+            project_strategy,
+            st.floats(min_value=1e-3, max_value=1e9),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+            st.integers(min_value=1, max_value=3),
+        ),
+        min_size=1, max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=100),
+)
+@settings(max_examples=80, deadline=None)
+def test_loss_gradient_equals_add_at_scatter_exactly(rows, seed):
+    assert_scatter_matches_reference(
+        [dataclasses.replace(p, actual_effort=actual, weight=weight)
+         for p, actual, weight, copies in rows for _ in range(copies)],
+        perturbed_table(seed),
+    )
+
+
+def test_loss_gradient_equals_add_at_scatter_on_many_projects(default_table):
+    # About 16 contributions per table entry, lower and upper mixed, so any
+    # other summation order changes some sums' last bits.
+    assert_scatter_matches_reference(
+        residual_projects(default_table, n=300, seed=8), perturbed_table(8)
+    )
 
 
 # --- monotone projection ----------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -104,6 +105,26 @@ def test_validate_table_reports_violations(tmp_path, default_table, capsys):
     assert run_cli("validate-table", "--table", str(path)) == 1
     err = capsys.readouterr().err
     assert "ACAP" in err and "violation" in err
+
+
+def test_infinite_entry_fails_validation_and_training(tmp_path, default_table, capsys):
+    values = default_table.values.copy()
+    values[params.RATED_COLUMN["MULT"], 17] = np.inf
+    path = tmp_path / "inf.yaml"
+    save_table(default_table.with_values(values), path)
+    message = "MULT: value at level 18 must be finite, got inf"
+    assert run_cli("validate-table", "--table", str(path)) == 1
+    assert capsys.readouterr().err.splitlines()[0] == message
+    projects = tmp_path / "projects.csv"
+    save_projects(synthesize_projects(default_table, 3, seed=61), projects)
+    outdir = tmp_path / "cal"
+    code = run_cli("calibrate", "--projects", str(projects), "--table", str(path),
+                   "--outdir", str(outdir))
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: train: refusing to train on an invalid table: {message}"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert (manifest["status"], "error: " + manifest["error"]) == ("failed", err)
 
 
 # --- transfer -------------------------------------------------------------------
@@ -499,6 +520,30 @@ def test_a_bad_setting_fails_alike_as_flag_and_in_config(
         assert (manifest["status"], "error: " + manifest["error"]) == ("failed", err)
         messages.add(err)
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("alpha", "-1", "learning rate must be >= 0, got -1.0"),
+        ("epochs", "-2", "max_epochs must be >= 0, got -2"),
+        ("tolerance", "-1e-6", "tolerance must be >= 0, got -1e-06"),
+        ("floor", "0", "value_floor must be positive, got 0.0"),
+    ],
+)
+def test_range_errors_name_the_key(key, bad, message, dataset_path, tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"{key}: {bad}\n")
+    for name, extra in {"flag": [f"--{key}={bad}"],
+                        "file": ["--config", str(config)]}.items():
+        out = tmp_path / name
+        code = run_cli("case", "--dataset", str(dataset_path), "--table", "synthetic",
+                       "--protocol", "c2", "--outdir", str(out), *extra)
+        assert code == 2, name
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: config: {key}: {message}", name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], "error: " + manifest["error"]) == ("failed", err)
 
 
 def test_readme_lists_every_setting():

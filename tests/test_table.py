@@ -69,6 +69,25 @@ def test_positivity_violation(default_table):
     assert "positivity" in kinds
 
 
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        (0.0, "positivity", "must be positive, got 0.0"),
+        (-1.0, "positivity", "must be positive, got -1.0"),
+        (float("nan"), "positivity", "must be positive, got nan"),
+        (float("-inf"), "positivity", "must be positive, got -inf"),
+        (float("inf"), "finiteness", "must be finite, got inf"),
+    ],
+)
+def test_entry_violations_name_their_kind(default_table, value, kind, message):
+    values = default_table.values.copy()
+    values[params.RATED_COLUMN["MULT"], 17] = value  # last level of an increasing row
+    violations = validate_table(default_table.with_values(values))
+    assert [(v.kind, str(v)) for v in violations if v.kind != "monotonicity"] == [
+        (kind, f"MULT: value at level 18 {message}")
+    ]
+
+
 def test_increasing_row_with_direction_satisfied_passes(default_table):
     values = default_table.values.copy()
     test_row = params.RATED_COLUMN["TEST"]
